@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -296,18 +294,8 @@ def _cmd_experiment(args) -> int:
                 f"unknown scenario {name!r}; choose from {', '.join(available_scenarios())} or 'all'"
             )
     config = _load_json(args.config) if args.config else None
-    out_dir = args.out_dir
-
-    def _run(name):
-        return run_scenario(name, config=config, seed=args.seed, out_dir=out_dir)
-
-    if len(names) > 1:
-        workers = int(os.environ.get("SPECSYNC_THREADS", "0")) or min(4, len(names))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run, names))
-    else:
-        results = [_run(names[0])]
-    for result in results:
+    for name in names:
+        result = run_scenario(name, config=config, seed=args.seed, out_dir=args.out_dir)
         status = "PASS" if result.passed else "FAIL"
         print(f"{result.name}: {status}")
         for assertion in result.assertions:

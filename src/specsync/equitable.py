@@ -58,9 +58,12 @@ class AepReport:
 class ModeErrorBound:
     """Equitable error of one quotient eigenpair with its bound chain.
 
-    epsilon_norm <= bound_sigma <= bound_rowsum, where
     epsilon_norm = ||E v||, bound_sigma = sigma_1(E) ||v||, and
-    bound_rowsum = 2 k ||v|| max_i sum_j |E_ij|.
+    bound_rowsum = 2 k ||v|| max_i sum_j |E_ij|. epsilon_norm <= bound_sigma
+    always holds. bound_rowsum is a row-sum estimate of the same quantity,
+    not a bound on bound_sigma: sigma_1 of an n x k matrix can reach
+    sqrt(n) times its largest absolute row sum, and on some stochastic
+    block model samples it exceeds 2k times that row sum.
     """
 
     eigenvalue: float

@@ -334,7 +334,7 @@ def _scn_fig4(config, seed, out):
                 continue
             rel = abs(rates[r] - sigma * lam[r]) / (sigma * lam[r])
             rate_rows.append((s, r, float(lam[r]), float(rates[r]), float(rel)))
-            ok &= rel <= config["rate_rtol"]
+            ok = ok and bool(rel <= config["rate_rtol"])
         rate_pass += ok
 
     artifacts = []
@@ -540,7 +540,7 @@ def _scn_fig6(config, seed, out):
         ),
         Assertion(
             "tangent_tracks_simulation",
-            rel_err <= config["track_rtol"] and window >= config["min_window_slips"] * slip_period,
+            bool(rel_err <= config["track_rtol"] and window >= config["min_window_slips"] * slip_period),
             f"rel err {rel_err:.3f} over {window:.1f} time units (~{window / slip_period:.1f} slips)",
         ),
     ]

@@ -235,10 +235,14 @@ def nested_aep(
 
 
 def _spectrally_ordered(graph: WeightedGraph, parts: list[VertexPartition]) -> bool:
-    """Coarser structural modes strictly below finer ones, all below the rest."""
+    """Coarser structural modes strictly below finer ones, all below the rest.
+
+    The constant mode 0 is structural for every partition and its eigenvalue
+    is zero up to roundoff of either sign, so it is left out of the order.
+    """
     basis = spectral_basis(graph)
     sets = [set(structural_indices(basis, p)) for p in parts]
-    previous: set[int] = set()
+    previous: set[int] = {0}
     boundary = 0.0
     for part, struct in zip(parts, sets):
         if len(struct) != part.k or not previous <= struct:

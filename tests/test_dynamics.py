@@ -18,7 +18,11 @@ from specsync import (
     cluster_spread,
     structural_indices,
     planted_aep,
+    nested_aep,
+    sample_sbm,
+    SbmConfig,
 )
+from specsync import dynamics
 
 from conftest import random_connected_graph
 
@@ -81,10 +85,17 @@ class TestVertexIntegration:
         assert 12.0 < err_coarse / err_fine < 20.0
 
     def test_blow_up_reports_step(self):
+        # The pair runs the dense kernel, the path the edge list; both steps
+        # are the ones a per-step finiteness test reports.
         sys_ = two_oscillator_system(sigma=1e308)
         with pytest.raises(BlowUpError) as info:
             integrate_vertex(sys_, np.array([0.3, -0.3]), dt=1.0, steps=10)
-        assert info.value.step >= 1
+        assert info.value.step == 1
+        path = WeightedGraph(40, [(i, i + 1, 1.0) for i in range(39)])
+        sys_ = OscillatorSystem(graph=path, omega=np.zeros(40), sigma=1e307)
+        with pytest.raises(BlowUpError) as info:
+            integrate_vertex(sys_, np.linspace(-1.0, 1.0, 40), dt=1.0, steps=400)
+        assert info.value.step == 33
 
     def test_input_validation(self):
         sys_ = two_oscillator_system()
@@ -92,6 +103,60 @@ class TestVertexIntegration:
             integrate_vertex(sys_, np.zeros(2), dt=0.0, steps=10)
         with pytest.raises(ValueError, match="length"):
             integrate_vertex(sys_, np.zeros(3), dt=0.1, steps=10)
+
+
+def graph_at_density(rng, n, density):
+    """Random spanning tree plus independent extra edges at `density`."""
+    edges = {(int(rng.integers(0, k)), k) for k in range(1, n)}
+    i, j = np.triu_indices(n, 1)
+    keep = rng.random(i.size) < density
+    edges.update(zip(i[keep].tolist(), j[keep].tolist()))
+    return WeightedGraph(n, [(a, b, rng.uniform(0.5, 1.5)) for a, b in sorted(edges)])
+
+
+class TestCouplingKernels:
+    @pytest.mark.parametrize("density", [0.01, 0.05, 0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("lagged", [False, True])
+    def test_dense_matches_edge_list(self, density, lagged):
+        rng = np.random.default_rng(int(density * 100) + lagged)
+        g = graph_at_density(rng, 120, density)
+        beta = rng.uniform(-1.0, 1.0, g.m) if lagged else np.zeros(g.m)
+        edge = dynamics._edge_coupling(g, beta)
+        dense = dynamics._dense_coupling(g, beta)
+        for _ in range(3):
+            theta = rng.uniform(-np.pi, np.pi, g.n)
+            ref = edge(theta)
+            assert np.abs(dense(theta) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_dispatch_follows_density(self):
+        sbm, _ = sample_sbm(
+            SbmConfig(block_sizes=(150, 150), probabilities=((0.06, 0.01), (0.01, 0.06)))
+        )
+        nested, _ = nested_aep(
+            levels=(3, 2),
+            leaf_size=30,
+            level_weights=(0.002, 0.02),
+            leaf_weight_range=(0.25, 0.35),
+            jitter=0.05,
+            seed=0,
+        )
+        for g, kernel in ((sbm, "edge_flow"), (nested, "dense_flow")):
+            sys_ = OscillatorSystem(graph=g, omega=np.zeros(g.n), sigma=1.0)
+            assert dynamics._vertex_coupling(sys_).__name__ == kernel
+
+    @pytest.mark.parametrize("density", [0.02, 0.6])
+    def test_trajectories_agree_on_both_kernels(self, density):
+        rng = np.random.default_rng(40)
+        g = graph_at_density(rng, 60, density)
+        omega = rng.normal(0.0, 0.5, g.n)
+        beta = rng.uniform(-0.3, 0.3, g.m)
+        sys_ = OscillatorSystem(graph=g, omega=omega, sigma=0.7, beta=beta)
+        theta0 = rng.uniform(-np.pi, np.pi, g.n)
+        traj = integrate_vertex(sys_, theta0, dt=0.01, steps=500)
+        for build in (dynamics._edge_coupling, dynamics._dense_coupling):
+            flow = build(g, beta)
+            ref = dynamics._rk4(lambda th: omega - 0.7 * flow(th), theta0, 0.01, 500)
+            assert np.abs(traj.states - ref).max() < 1e-10
 
 
 class TestSystemValidation:

@@ -17,6 +17,8 @@ from specsync import (
     qep_score,
     planted_aep,
     perturb,
+    sample_sbm,
+    SbmConfig,
 )
 
 from conftest import random_connected_graph, random_partition
@@ -140,6 +142,20 @@ class TestEquitableError:
             for m in report.per_mode:
                 assert m.epsilon_norm <= m.bound_sigma * (1 + 1e-12) + 1e-15
                 assert m.bound_sigma <= m.bound_rowsum * (1 + 1e-12) + 1e-15
+
+    def test_sigma_bound_holds_on_sbm_samples(self):
+        # ||E v|| <= sigma_1(E) ||v|| is a true bound; the row-sum figure is
+        # only an estimate and falls below sigma_1 ||v|| on some samples.
+        rowsum_exceeded = False
+        configs = [((100, 100), ((0.55, 0.15), (0.15, 0.45)))] * 4 + [
+            ((50, 50, 50), ((0.5, 0.1, 0.2), (0.1, 0.4, 0.1), (0.2, 0.1, 0.6)))
+        ] * 2
+        for seed, (sizes, probabilities) in enumerate(configs):
+            g, p = sample_sbm(SbmConfig(sizes, probabilities, seed=seed))
+            for m in equitable_error(g, p).per_mode:
+                assert m.epsilon_norm <= m.bound_sigma * (1 + 1e-12) + 1e-12
+                rowsum_exceeded |= m.bound_sigma > m.bound_rowsum
+        assert rowsum_exceeded
 
     def test_noise_form_identity(self):
         # For L' = L + N with L admitting the partition, the error matrix of

@@ -61,6 +61,18 @@ class TestSmallRuns:
         assert (tmp_path / "fig2_cluster_sync" / "coefficients.csv").exists()
         assert (tmp_path / "fig2_cluster_sync" / "phases.csv").exists()
 
+    @pytest.mark.parametrize(
+        "name, config",
+        [("fig6_single_mode", None), ("fig4_hierarchical", {"seeds": 1, "required_pass": 1})],
+    )
+    def test_result_json_round_trips(self, tmp_path, name, config):
+        res = run_scenario(name, config=config, seed=0, out_dir=tmp_path)
+        payload = json.loads((tmp_path / name / "result.json").read_text())
+        assert res.passed, [a.detail for a in res.assertions if not a.passed]
+        assert payload["passed"] is True
+        assert [a["passed"] for a in payload["assertions"]] == [True] * len(res.assertions)
+        assert payload["metrics"] == json.loads(json.dumps(res.metrics))
+
     def test_assertions_reported_not_raised(self):
         # An impossible tolerance turns into a reported failure.
         res = run_scenario("basis_equivalence", config=dict(SMALL_BASIS_EQ, tol=1e-300), seed=0)
