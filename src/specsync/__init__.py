@@ -8,132 +8,20 @@ and Laplacian-coefficient coordinates, and checks closed-form predictions
 discriminants, phase-lag equilibria) against simulation.
 """
 
-from .graph import (
-    WeightedGraph,
-    VertexPartition,
-    adjacency,
-    degrees,
-    laplacian,
-    incidence,
-    down_edge_laplacian,
-    indicator_matrix,
-    quotient_matrix,
-)
-from .spectral import (
-    SpectralBasis,
-    CoefficientVector,
-    eigendecompose,
-    eigendecompose_general,
-    spectral_basis,
-    decompose,
-    structural_indices,
-)
-from .equitable import (
-    AepReport,
-    EquitableErrorReport,
-    ModeErrorBound,
-    ApproximationBoundReport,
-    check_aep,
-    equitable_error,
-    equitable_error_matrix,
-    approximation_bound,
-    qep_score,
-)
-from .dynamics import (
-    OscillatorSystem,
-    Trajectory,
-    CoefficientTrajectory,
-    BlowUpError,
-    integrate_vertex,
-    integrate_coefficient,
-    decompose_trajectory,
-    reconstruct_trajectory,
-    rezero,
-    cluster_spread,
-)
-from .analysis import (
-    LinearPrediction,
-    DiscriminantEntry,
-    Regime,
-    RegimeSegmentation,
-    asymptotic_coefficients,
-    linear_solution,
-    prediction_error_profile,
-    x_coupling,
-    discriminant,
-    discriminant_report,
-    single_mode_solution,
-    segment_regimes,
-    fit_decay_rates,
-)
-from .generators import (
-    PlantedAepConfig,
-    SbmConfig,
-    planted_aep,
-    nested_aep,
-    perturb,
-    sample_sbm,
-)
-from .experiments import ScenarioResult, available_scenarios, run_scenario
+from . import analysis, dynamics, equitable, experiments, generators, graph, spectral
+from .graph import *
+from .spectral import *
+from .equitable import *
+from .dynamics import *
+from .analysis import *
+from .generators import *
+from .experiments import *
 
 __version__ = "0.1.0"
 
+# Each submodule's __all__ is the single list of its public names.
 __all__ = [
-    "WeightedGraph",
-    "VertexPartition",
-    "adjacency",
-    "degrees",
-    "laplacian",
-    "incidence",
-    "down_edge_laplacian",
-    "indicator_matrix",
-    "quotient_matrix",
-    "SpectralBasis",
-    "CoefficientVector",
-    "eigendecompose",
-    "eigendecompose_general",
-    "spectral_basis",
-    "decompose",
-    "structural_indices",
-    "AepReport",
-    "EquitableErrorReport",
-    "ModeErrorBound",
-    "ApproximationBoundReport",
-    "check_aep",
-    "equitable_error",
-    "equitable_error_matrix",
-    "approximation_bound",
-    "qep_score",
-    "OscillatorSystem",
-    "Trajectory",
-    "CoefficientTrajectory",
-    "BlowUpError",
-    "integrate_vertex",
-    "integrate_coefficient",
-    "decompose_trajectory",
-    "reconstruct_trajectory",
-    "rezero",
-    "cluster_spread",
-    "LinearPrediction",
-    "DiscriminantEntry",
-    "Regime",
-    "RegimeSegmentation",
-    "asymptotic_coefficients",
-    "linear_solution",
-    "prediction_error_profile",
-    "x_coupling",
-    "discriminant",
-    "discriminant_report",
-    "single_mode_solution",
-    "segment_regimes",
-    "fit_decay_rates",
-    "PlantedAepConfig",
-    "SbmConfig",
-    "planted_aep",
-    "nested_aep",
-    "perturb",
-    "sample_sbm",
-    "ScenarioResult",
-    "available_scenarios",
-    "run_scenario",
+    name
+    for module in (graph, spectral, equitable, dynamics, analysis, generators, experiments)
+    for name in module.__all__
 ]

@@ -188,15 +188,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _emit_report(report: dict, args) -> None:
-    if args.format == "csv":
-        lines = ["key,value"]
-        for key, value in report.items():
-            if isinstance(value, list):
-                continue
-            lines.append(f"{key},{value}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(report, indent=2) + "\n"
+    text = json.dumps(report, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}")
@@ -204,31 +196,33 @@ def _emit_report(report: dict, args) -> None:
         print(text, end="")
 
 
+def _system(graph, omega, sigma, beta) -> OscillatorSystem:
+    try:
+        return OscillatorSystem(graph=graph, omega=omega, sigma=sigma, beta=beta)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def _cmd_simulate(args) -> int:
     graph = _load_graph(args.graph)
-    if args.dt <= 0:
-        raise CliError("--dt must be positive")
-    if args.steps < 1:
-        raise CliError("--steps must be at least 1")
-    if args.sigma < 0:
-        raise CliError("--sigma must be nonnegative")
     omega = _vector(args.omega, graph.n, "omega")
     beta = _vector(args.beta, graph.m, "beta") if args.beta else None
     theta0 = (
         _vector(args.theta0, graph.n, "theta0") if args.theta0 else np.zeros(graph.n)
     )
-    system = OscillatorSystem(graph=graph, omega=omega, sigma=args.sigma, beta=beta)
+    system = _system(graph, omega, args.sigma, beta)
     basis = spectral_basis(graph)
-    out = _out_dir(args)
     try:
         if args.basis == "vertex":
             traj = integrate_vertex(system, theta0, args.dt, args.steps)
             ctraj = decompose_trajectory(traj, basis)
         else:
             ctraj = integrate_coefficient(
-                system, basis, decompose(theta0, basis).alpha, args.dt, args.steps
+                system, basis, decompose(theta0, basis), args.dt, args.steps
             )
             traj = reconstruct_trajectory(ctraj)
+    except ValueError as exc:  # dt, steps or theta0 rejected by the integrator
+        raise CliError(str(exc)) from exc
     except BlowUpError as exc:
         print(f"integration blew up: {exc}", file=sys.stderr)
         return 1
@@ -238,6 +232,7 @@ def _cmd_simulate(args) -> int:
             raise CliError("--rezero time outside the trajectory")
         traj = rezero(traj, idx)
         ctraj = decompose_trajectory(traj, basis)
+    out = _out_dir(args)
     fileio.write_phase_csv(traj, out / "trajectory.csv")
     fileio.write_coefficient_csv(ctraj, out / "coefficients.csv")
     print(f"wrote trajectory.csv, coefficients.csv to {out}")
@@ -250,7 +245,7 @@ def _cmd_predict(args) -> int:
         raise CliError("--sigma must be positive")
     omega = _vector(args.omega, graph.n, "omega")
     beta = _vector(args.beta, graph.m, "beta") if args.beta else None
-    system = OscillatorSystem(graph=graph, omega=omega, sigma=args.sigma, beta=beta)
+    system = _system(graph, omega, args.sigma, beta)
     basis = spectral_basis(graph)
     pred = asymptotic_coefficients(system, basis)
     if args.mode is not None:
@@ -332,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--tol", type=float, default=1e-9)
     ana.add_argument("--gamma", type=float, default=None,
                      help="also report truncated-approximation bounds at this window")
-    ana.add_argument("--format", choices=["json", "csv"], default="json")
     ana.add_argument("--out", default=None, help="write the report here instead of stdout")
     ana.set_defaults(func=_cmd_analyze)
 
@@ -356,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     prd.add_argument("--beta", default=None)
     prd.add_argument("--sigma", type=float, default=1.0)
     prd.add_argument("--mode", type=int, default=None, help="restrict to one mode (>= 1)")
-    prd.add_argument("--format", choices=["json", "csv"], default="json")
     prd.add_argument("--out", default=None)
     prd.set_defaults(func=_cmd_predict)
 

@@ -83,6 +83,8 @@ class OscillatorSystem:
         omega = np.asarray(self.omega, dtype=float)
         if omega.shape != (self.graph.n,):
             raise ValueError("omega length does not match vertex count")
+        if not np.isfinite(omega).all():
+            raise ValueError("omega must be finite")
         if not np.isfinite(self.sigma) or self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
         beta = self.beta
@@ -92,6 +94,8 @@ class OscillatorSystem:
             beta = np.asarray(beta, dtype=float)
             if beta.shape != (self.graph.m,):
                 raise ValueError("beta length does not match edge count")
+            if not np.isfinite(beta).all():
+                raise ValueError("beta must be finite")
         omega.setflags(write=False)
         beta.setflags(write=False)
         object.__setattr__(self, "omega", omega)
@@ -159,6 +163,24 @@ def _rk4(rhs, y0: np.ndarray, dt: float, steps: int) -> np.ndarray:
     return out
 
 
+def _initial_state(state, name: str, size: int, dt, steps) -> np.ndarray:
+    """Check an integrator's run inputs and return its initial state as floats.
+
+    Non-finite inputs would otherwise surface as a BlowUpError at step 1,
+    and a non-integer step count as a TypeError inside the RK4 loop.
+    """
+    state = np.asarray(state, dtype=float)
+    if state.shape != (size,):
+        raise ValueError(f"{name} length does not match the system size {size}")
+    if not np.isfinite(state).all():
+        raise ValueError(f"{name} must be finite")
+    if not np.isfinite(dt) or dt <= 0:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    return state
+
+
 def _edge_coupling(g: WeightedGraph, beta: np.ndarray):
     """Edge-list kernel: gather the m edge terms, scatter them with bincount."""
     ei, ej, w, n = g.edge_i, g.edge_j, g.edge_w, g.n
@@ -210,13 +232,7 @@ def integrate_vertex(
     integration is exact (RK4 reproduces linear-in-t flows), which the tests
     use as a sanity anchor.
     """
-    theta0 = np.asarray(theta0, dtype=float)
-    if theta0.shape != (system.graph.n,):
-        raise ValueError("theta0 length does not match vertex count")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    theta0 = _initial_state(theta0, "theta0", system.graph.n, dt, steps)
     omega, sigma = system.omega, system.sigma
     flow = _vertex_coupling(system)
 
@@ -241,17 +257,11 @@ def integrate_coefficient(
     additively. Reconstructing theta = V alpha reproduces integrate_vertex
     output from theta0 = V alpha0 up to floating-point roundoff.
     """
-    alpha0 = np.asarray(alpha0, dtype=float)
     if basis.edge_vectors is None:
         raise ValueError("basis carries no edge vectors; build it from the graph")
     if basis.n != system.graph.n or basis.m != system.graph.m:
         raise ValueError("basis does not match the system graph")
-    if alpha0.shape != (basis.n,):
-        raise ValueError("alpha0 length does not match basis size")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    alpha0 = _initial_state(alpha0, "alpha0", basis.n, dt, steps)
     w = system.graph.edge_w
     sigma, beta = system.sigma, system.beta
     omega_spec = basis.vertex_vectors.T @ system.omega

@@ -147,7 +147,7 @@ def _scn_basis_equivalence(config, seed, out):
         steps = int(round(config["t_final"] / config["dt"]))
         traj = integrate_vertex(sys_, theta0, config["dt"], steps)
         ctraj = integrate_coefficient(
-            sys_, basis, decompose(theta0, basis).alpha, config["dt"], steps
+            sys_, basis, decompose(theta0, basis), config["dt"], steps
         )
         diff = float(np.abs(reconstruct_trajectory(ctraj).states - traj.states).max())
         worst = max(worst, diff)
@@ -178,7 +178,7 @@ def _scn_fig2(config, seed, out):
     rng = np.random.default_rng(seed + 1)
     theta0 = rng.uniform(-config["theta0_scale"], config["theta0_scale"], g.n)
     ctraj = integrate_coefficient(
-        sys_, basis, decompose(theta0, basis).alpha, config["dt"], config["steps"]
+        sys_, basis, decompose(theta0, basis), config["dt"], config["steps"]
     )
     terminal = ctraj.coeffs[-1]
     energy = float((terminal[nonstruct] ** 2).sum() / (terminal[1:] ** 2).sum())
@@ -398,7 +398,7 @@ def _scn_fig5(config, seed, out):
             rng = np.random.default_rng(seed + 500 + s)
             theta0 = rng.uniform(-config["theta0_scale"], config["theta0_scale"], g.n)
             ctraj = integrate_coefficient(
-                sys_, basis, decompose(theta0, basis).alpha, config["dt"], config["steps"]
+                sys_, basis, decompose(theta0, basis), config["dt"], config["steps"]
             )
             spread = float(cluster_spread(reconstruct_trajectory(ctraj), p, -1).max())
             score = qep_score(g, p)

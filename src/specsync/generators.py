@@ -325,13 +325,13 @@ def sample_sbm(config: SbmConfig) -> tuple[WeightedGraph, VertexPartition]:
     probs = pair_prob[iu, ju]
     for _ in range(config.max_retries):
         mask = rng.random(probs.size) < probs
-        ei = iu[mask].astype(np.int64)
-        ej = ju[mask].astype(np.int64)
-        if _bfs_connected(n, ei, ej):
-            graph = WeightedGraph(
-                n, np.column_stack([ei, ej, np.ones(ei.size)])
-            )
-            return graph, VertexPartition(assignment, sizes.size)
+        edges = np.column_stack([iu[mask], ju[mask], np.ones(int(mask.sum()))])
+        try:
+            graph = WeightedGraph(n, edges)
+        except ValueError:
+            # In-range i < j unit-weight edges: only disconnection is rejected.
+            continue
+        return graph, VertexPartition(assignment, sizes.size)
     raise RuntimeError(
         f"no connected sample in {config.max_retries} draws; "
         "probabilities are too sparse"

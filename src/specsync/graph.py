@@ -1,9 +1,10 @@
 """Weighted undirected graphs and the matrix operators built from them.
 
 A graph is the single source for every operator used downstream: adjacency
-A, degree diagonal D, Laplacian L = D - A = B W B^T, signed incidence B,
-down-edge Laplacian B^T B W, partition indicator P, and quotient matrices
-(P^T P)^{-1} P^T M P.
+A, degree diagonal D, Laplacian L = D - A, partition indicator P, and
+quotient matrices (P^T P)^{-1} P^T M P. Edge-space quantities index the
+canonical edge arrays (edge_i, edge_j) directly; no incidence matrix is
+formed.
 """
 from __future__ import annotations
 
@@ -17,8 +18,6 @@ __all__ = [
     "adjacency",
     "degrees",
     "laplacian",
-    "incidence",
-    "down_edge_laplacian",
     "indicator_matrix",
     "quotient_matrix",
 ]
@@ -232,32 +231,6 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
     lap = -adjacency(g)
     lap[np.arange(g.n), np.arange(g.n)] = degrees(g)
     return lap
-
-
-def incidence(g: WeightedGraph) -> np.ndarray:
-    """Signed incidence matrix B, n x m.
-
-    Column a corresponds to edge a in canonical order; for edge (i, j) with
-    i < j the column holds +1 at row i and -1 at row j. The induced
-    orientation is arbitrary for the dynamics but fixed here so that edge
-    quantities (down-edge eigenvectors, per-edge phase lags) index
-    deterministically.
-    """
-    b = np.zeros((g.n, g.m))
-    cols = np.arange(g.m)
-    b[g.edge_i, cols] = 1.0
-    b[g.edge_j, cols] = -1.0
-    return b
-
-
-def down_edge_laplacian(g: WeightedGraph) -> np.ndarray:
-    """Weighted down-edge Laplacian B^T B W, m x m and generally nonsymmetric.
-
-    Shares its nonzero spectrum with L = B W B^T; the eigenvector paired
-    with a Laplacian eigenvector v is B^T v.
-    """
-    b = incidence(g)
-    return (b.T @ b) * g.edge_w[None, :]
 
 
 def indicator_matrix(p: VertexPartition) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Laplacian eigenbasis machinery.
 
 Symmetric eigendecomposition with a deterministic sign convention, the
-paired down-edge eigenvectors e^(r) = B^T v^(r), transforms between vertex
-signals and spectral coefficients, a dense general eigensolver for (small,
-nonsymmetric) quotient Laplacians, and detection of the partition-constant
-"structural" modes that carry cluster-synchronized dynamics.
+paired down-edge eigenvectors e^(r) = B^T v^(r) (on edge (i, j) simply
+v_i^(r) - v_j^(r)), transforms between vertex signals and spectral
+coefficients, a dense general eigensolver for (small, nonsymmetric)
+quotient Laplacians, and detection of the partition-constant "structural"
+modes that carry cluster-synchronized dynamics.
 """
 from __future__ import annotations
 
@@ -12,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, VertexPartition, incidence, indicator_matrix, laplacian
+from .graph import WeightedGraph, VertexPartition, indicator_matrix, laplacian
 
 __all__ = [
     "SpectralBasis",
-    "CoefficientVector",
     "eigendecompose",
     "eigendecompose_general",
     "spectral_basis",
@@ -47,9 +47,9 @@ class SpectralBasis:
     eigenvalues:    (n,) ascending, eigenvalue 0 first on a connected graph.
     vertex_vectors: (n, n), column r is the unit eigenvector v^(r).
     edge_vectors:   (m, n), column r is e^(r) = B^T v^(r), an eigenvector of
-                    the down-edge Laplacian B^T B W with the same eigenvalue.
-                    None when the basis was built from a bare matrix with no
-                    incidence information.
+                    the down-edge Laplacian B^T B W with the same eigenvalue;
+                    row a of edge (i, j), i < j, is v_i - v_j. None when the
+                    basis was built from a bare matrix with no edge list.
     """
 
     eigenvalues: np.ndarray
@@ -67,28 +67,12 @@ class SpectralBasis:
         return int(self.edge_vectors.shape[0])
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Spectral coefficients alpha of a vertex signal, alpha_r = v^(r) . theta."""
-
-    alpha: np.ndarray
-    basis: SpectralBasis
-
-    def reconstruct(self) -> np.ndarray:
-        """Return V alpha, the vertex signal the coefficients describe."""
-        return self.basis.vertex_vectors @ self.alpha
-
-
-def eigendecompose(
-    lap: np.ndarray,
-    incidence_matrix: np.ndarray | None = None,
-    sym_tol: float = 1e-10,
-) -> SpectralBasis:
+def eigendecompose(lap: np.ndarray, sym_tol: float = 1e-10) -> SpectralBasis:
     """Eigendecompose a symmetric (Laplacian) matrix into a SpectralBasis.
 
     Eigenvalues come out ascending and eigenvectors orthonormal with the
-    first-nonzero-positive sign convention. When the signed incidence matrix
-    is supplied, the paired down-edge eigenvectors B^T v^(r) are attached.
+    first-nonzero-positive sign convention. The basis carries no edge
+    vectors; spectral_basis attaches them from the graph's edge list.
 
     Raises ValueError if the input is not symmetric within sym_tol;
     propagates numpy.linalg.LinAlgError if the iteration fails to converge.
@@ -99,18 +83,20 @@ def eigendecompose(
     if np.abs(lap - lap.T).max(initial=0.0) > sym_tol:
         raise ValueError(f"matrix is not symmetric within {sym_tol}")
     eigenvalues, vectors = np.linalg.eigh(lap)
-    vectors = _fix_signs(vectors)
-    edge_vectors = None
-    if incidence_matrix is not None:
-        edge_vectors = np.asarray(incidence_matrix, dtype=float).T @ vectors
     return SpectralBasis(
-        eigenvalues=eigenvalues, vertex_vectors=vectors, edge_vectors=edge_vectors
+        eigenvalues=eigenvalues, vertex_vectors=_fix_signs(vectors), edge_vectors=None
     )
 
 
 def spectral_basis(g: WeightedGraph) -> SpectralBasis:
-    """Full spectral basis of a graph: Laplacian eigenpairs plus edge vectors."""
-    return eigendecompose(laplacian(g), incidence_matrix=incidence(g))
+    """Full spectral basis of a graph: Laplacian eigenpairs plus edge vectors.
+
+    B^T V is gathered by edge, V[edge_i] - V[edge_j], without forming the
+    n x m incidence B; each entry is the same single subtraction.
+    """
+    basis = eigendecompose(laplacian(g))
+    v = basis.vertex_vectors
+    return SpectralBasis(basis.eigenvalues, v, v[g.edge_i] - v[g.edge_j])
 
 
 def eigendecompose_general(
@@ -151,12 +137,15 @@ def eigendecompose_general(
     return eigenvalues, vectors
 
 
-def decompose(theta: np.ndarray, basis: SpectralBasis) -> CoefficientVector:
-    """Project a vertex signal onto the eigenbasis: alpha_r = v^(r) . theta."""
+def decompose(theta: np.ndarray, basis: SpectralBasis) -> np.ndarray:
+    """Project a vertex signal onto the eigenbasis: alpha_r = v^(r) . theta.
+
+    The inverse is V alpha (basis.vertex_vectors @ alpha).
+    """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (basis.n,):
         raise ValueError(f"signal length {theta.shape} does not match basis size {basis.n}")
-    return CoefficientVector(alpha=basis.vertex_vectors.T @ theta, basis=basis)
+    return basis.vertex_vectors.T @ theta
 
 
 def structural_indices(

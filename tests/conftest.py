@@ -33,6 +33,25 @@ def random_partition(rng, n, k=None):
             return VertexPartition(assignment, k)
 
 
+def oracle_incidence(g):
+    """Signed incidence B, n x m: column a holds +1 at edge_i[a], -1 at edge_j[a].
+
+    Test-only reference for the edge-space identities (L = B W B^T,
+    e^(r) = B^T v^(r)); the package gathers these rows by index instead.
+    """
+    b = np.zeros((g.n, g.m))
+    cols = np.arange(g.m)
+    b[g.edge_i, cols] = 1.0
+    b[g.edge_j, cols] = -1.0
+    return b
+
+
+def oracle_down_edge_laplacian(g):
+    """Weighted down-edge Laplacian B^T B W, m x m; test-only reference."""
+    b = oracle_incidence(g)
+    return (b.T @ b) * g.edge_w[None, :]
+
+
 @pytest.fixture
 def path3():
     """Path graph 0-1-2 with unit weights."""

@@ -111,7 +111,7 @@ class TestPredictionErrorProfile:
         g = random_connected_graph(rng, n_max=6)
         basis = spectral_basis(g)
         sys_ = OscillatorSystem(graph=g, omega=rng.normal(size=g.n), sigma=1.0)
-        short = integrate_coefficient(sys_, basis, decompose(rng.uniform(-1, 1, g.n), basis).alpha, dt=0.01, steps=5)
+        short = integrate_coefficient(sys_, basis, decompose(rng.uniform(-1, 1, g.n), basis), dt=0.01, steps=5)
         with pytest.raises(ValueError, match="settled"):
             prediction_error_profile(short, asymptotic_coefficients(sys_, basis))
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from specsync.cli import main
 from specsync import fileio
@@ -130,6 +131,24 @@ class TestSimulate:
         assert main(["simulate", "--graph", graph, "--omega", "[0,0,0]",
                      "--dt", "-0.01", "--steps", "10", "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--omega", "[NaN, 0, 0]"],
+            ["--omega", "[0, 0, 0]", "--beta", "[Infinity, 0]"],
+            ["--omega", "[0, 0, 0]", "--theta0", "[0, NaN, 0]"],
+            ["--omega", "[0, 0, 0]", "--theta0", "[0, NaN, 0]", "--basis", "coefficient"],
+            ["--omega", "[0, 0, 0]", "--dt", "nan"],
+            ["--omega", "[0, 0, 0]", "--sigma", "inf"],
+        ],
+    )
+    def test_non_finite_input_exits_2(self, tmp_path, extra):
+        graph = make_path_graph(tmp_path)
+        out = tmp_path / "out"
+        argv = ["simulate", "--graph", graph, "--steps", "10", "--out-dir", str(out)]
+        assert main(argv + extra) == 2
+        assert not out.exists()
+
     def test_wrong_omega_length_exits_2(self, tmp_path):
         graph = make_path_graph(tmp_path)
         assert main(["simulate", "--graph", graph, "--omega", "[1.0]",
@@ -146,6 +165,19 @@ class TestPredict:
     def test_mode_zero_exits_2(self, tmp_path):
         graph = make_path_graph(tmp_path)
         assert main(["predict", "--graph", graph, "--omega", "[0,0,0]", "--mode", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--omega", "[Infinity, 0, 0]"],
+            ["--omega", "[0, 0, 0]", "--beta", "[0, NaN]"],
+            ["--omega", "[0, 0, 0]", "--sigma", "nan"],
+        ],
+    )
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, extra):
+        graph = make_path_graph(tmp_path)
+        assert main(["predict", "--graph", graph] + extra) == 2
+        assert capsys.readouterr().out == ""
 
     def test_fig6_system_reports_negative_delta(self, tmp_path, capsys):
         g, p, basis, system, r1, _ = build_fig6_system(seed=0)

@@ -104,6 +104,30 @@ class TestVertexIntegration:
         with pytest.raises(ValueError, match="length"):
             integrate_vertex(sys_, np.zeros(3), dt=0.1, steps=10)
 
+    @pytest.mark.parametrize("form", ["vertex", "coefficient"])
+    @pytest.mark.parametrize(
+        "state, dt, steps, match",
+        [
+            ((0.1, np.nan), 0.1, 10, "finite"),
+            ((0.1, np.inf), 0.1, 10, "finite"),
+            ((0.1, -0.1), np.nan, 10, "dt"),
+            ((0.1, -0.1), np.inf, 10, "dt"),
+            ((0.1, -0.1), -0.1, 10, "dt"),
+            ((0.1, -0.1), 0.1, 2.5, "steps"),
+            ((0.1, -0.1), 0.1, 0, "steps"),
+        ],
+    )
+    def test_run_inputs_rejected_at_the_boundary(self, form, state, dt, steps, match):
+        # Each of these used to surface as a BlowUpError at step 1 or a
+        # TypeError inside the RK4 loop.
+        sys_ = two_oscillator_system()
+        x0 = np.array(state)
+        with pytest.raises(ValueError, match=match):
+            if form == "vertex":
+                integrate_vertex(sys_, x0, dt, steps)
+            else:
+                integrate_coefficient(sys_, spectral_basis(sys_.graph), x0, dt, steps)
+
 
 def graph_at_density(rng, n, density):
     """Random spanning tree plus independent extra edges at `density`."""
@@ -173,6 +197,15 @@ class TestSystemValidation:
         with pytest.raises(ValueError, match="coupling"):
             asymptotic_coefficients(sys_, spectral_basis(g))
 
+    @pytest.mark.parametrize("name", ["omega", "beta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, name, bad):
+        g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        values = {"omega": np.zeros(3), "beta": np.zeros(2)}
+        values[name][1] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            OscillatorSystem(graph=g, sigma=1.0, **values)
+
     def test_beta_length(self):
         g = WeightedGraph(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError, match="beta"):
@@ -205,7 +238,7 @@ class TestCoefficientIntegration:
             theta0 = rng.uniform(-0.5, 0.5, size=g.n)
             traj = integrate_vertex(sys_, theta0, dt=0.01, steps=2000)
             ctraj = integrate_coefficient(
-                sys_, basis, decompose(theta0, basis).alpha, dt=0.01, steps=2000
+                sys_, basis, decompose(theta0, basis), dt=0.01, steps=2000
             )
             rebuilt = reconstruct_trajectory(ctraj)
             assert np.abs(rebuilt.states - traj.states).max() < 1e-6
@@ -226,7 +259,7 @@ class TestCoefficientIntegration:
         theta0 = rng.uniform(-0.5, 0.5, g.n)
         traj = integrate_vertex(sys_, theta0, 0.01, 5000)
         ctraj = integrate_coefficient(
-            sys_, basis, decompose(theta0, basis).alpha, 0.01, 5000
+            sys_, basis, decompose(theta0, basis), 0.01, 5000
         )
         assert np.abs(reconstruct_trajectory(ctraj).states - traj.states).max() < 1e-6
 
@@ -318,10 +351,10 @@ class TestRezero:
         theta = np.where(p.assignment == 0, 0.4, -0.4)
         theta[5] += 2.0 * np.pi
         traj = Trajectory_like(theta[None, :])
-        before = decompose(traj.states[0], basis).alpha
+        before = decompose(traj.states[0], basis)
         assert np.abs(before[nonstruct]).max() > 0.1
         after = rezero(traj, 0)
-        alpha = decompose(after.states[0], basis).alpha
+        alpha = decompose(after.states[0], basis)
         assert np.abs(alpha[nonstruct]).max() < 1e-10
 
     def test_suffix_grid(self):

@@ -225,6 +225,15 @@ class TestSampleSbm:
         with pytest.raises(RuntimeError, match="connected"):
             sample_sbm(cfg)
 
+    def test_resampled_seed_keeps_its_edges(self):
+        # Seed 0 draws two disconnected samples before a connected one. Pinned
+        # edges keep the resampling loop from changing which graph a seed gives.
+        cfg = SbmConfig(block_sizes=(4, 4), probabilities=((0.5, 0.1), (0.1, 0.5)), seed=0)
+        g, _ = sample_sbm(cfg)
+        assert g.edge_i.tolist() == [0, 0, 0, 0, 1, 2, 4, 5]
+        assert g.edge_j.tolist() == [1, 3, 4, 7, 3, 3, 6, 6]
+        assert np.all(g.edge_w == 1.0)
+
     def test_asymmetric_probabilities_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             SbmConfig(block_sizes=(3, 3), probabilities=((0.5, 0.2), (0.3, 0.5)))

@@ -5,7 +5,6 @@ from specsync import (
     WeightedGraph,
     VertexPartition,
     laplacian,
-    down_edge_laplacian,
     indicator_matrix,
     quotient_matrix,
     eigendecompose,
@@ -15,7 +14,7 @@ from specsync import (
     structural_indices,
 )
 
-from conftest import random_connected_graph
+from conftest import oracle_down_edge_laplacian, oracle_incidence, random_connected_graph
 
 
 class TestEigendecompose:
@@ -54,7 +53,7 @@ class TestEigendecompose:
             assert np.abs(v.T @ v - np.eye(g.n)).max() < 1e-10
             assert np.abs(lap @ v - v * lam).max() < 1e-8
             # Paired edge vectors solve the down-edge eigenproblem.
-            dn = down_edge_laplacian(g)
+            dn = oracle_down_edge_laplacian(g)
             e = basis.edge_vectors
             assert np.abs(dn @ e - e * lam).max() < 1e-8
 
@@ -68,6 +67,15 @@ class TestEigendecompose:
             col = b1.vertex_vectors[:, c]
             first = col[np.abs(col) > 1e-12][0]
             assert first > 0
+
+    def test_edge_vectors_equal_incidence_product(self):
+        # The gathered rows V[i] - V[j] are the entries of B^T V, bit for bit.
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            g = random_connected_graph(rng, n_max=40, p=rng.uniform(0.1, 0.9))
+            basis = spectral_basis(g)
+            expected = oracle_incidence(g).T @ basis.vertex_vectors
+            assert np.array_equal(basis.edge_vectors, expected)
 
     def test_down_edge_pairing(self):
         # (e^(r))^T W e^(s) = lambda_s delta_rs.
@@ -119,27 +127,27 @@ class TestDecompose:
         g = random_connected_graph(rng)
         basis = spectral_basis(g)
         c = 0.7
-        coeff = decompose(np.full(g.n, c), basis)
-        assert abs(coeff.alpha[0] - c * np.sqrt(g.n)) < 1e-10
-        assert np.abs(coeff.alpha[1:]).max() < 1e-10
+        alpha = decompose(np.full(g.n, c), basis)
+        assert abs(alpha[0] - c * np.sqrt(g.n)) < 1e-10
+        assert np.abs(alpha[1:]).max() < 1e-10
 
     def test_eigenvector_signal(self):
         rng = np.random.default_rng(15)
         g = random_connected_graph(rng)
         basis = spectral_basis(g)
-        coeff = decompose(basis.vertex_vectors[:, 1], basis)
+        alpha = decompose(basis.vertex_vectors[:, 1], basis)
         expected = np.zeros(g.n)
         expected[1] = 1.0
-        assert np.abs(coeff.alpha - expected).max() < 1e-10
+        assert np.abs(alpha - expected).max() < 1e-10
 
     def test_parseval_and_reconstruction(self):
         rng = np.random.default_rng(16)
         g = random_connected_graph(rng, n_max=10, n_min=10)
         basis = spectral_basis(g)
         theta = rng.normal(size=g.n)
-        coeff = decompose(theta, basis)
-        assert abs((coeff.alpha**2).sum() - (theta**2).sum()) < 1e-10
-        assert np.abs(coeff.reconstruct() - theta).max() < 1e-10
+        alpha = decompose(theta, basis)
+        assert abs((alpha**2).sum() - (theta**2).sum()) < 1e-10
+        assert np.abs(basis.vertex_vectors @ alpha - theta).max() < 1e-10
 
     def test_length_mismatch(self):
         g = WeightedGraph(2, [(0, 1, 1.0)])
