@@ -39,7 +39,6 @@ __all__ = [
     "RegimeSegmentation",
     "asymptotic_coefficients",
     "linear_solution",
-    "prediction_error_profile",
     "x_coupling",
     "discriminant",
     "discriminant_report",
@@ -133,31 +132,6 @@ def linear_solution(pred: LinearPrediction, r: int, alpha_r0: float, t):
         raise ValueError("linearized solution requires a positive eigenvalue")
     decay = np.exp(-rate * np.asarray(t, dtype=float))
     return pred.alpha_inf[r] * (1.0 - decay) + alpha_r0 * decay
-
-
-def prediction_error_profile(
-    sim: CoefficientTrajectory,
-    pred: LinearPrediction,
-    settle_tol: float = 1e-6,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Terminal coefficient magnitudes and their linearization errors.
-
-    Requires the trajectory to have settled (max |dalpha_r/dt| over r >= 1,
-    estimated from the last two samples, below settle_tol). Returns
-    (|alpha_r(T)|, |alpha_r(T) - alpha_r^inf|) for r = 1..n-1, the raw
-    material for checking that linearization error grows with coefficient
-    magnitude.
-    """
-    coeffs = sim.coeffs
-    if coeffs.shape[0] < 2:
-        raise ValueError("trajectory too short")
-    rate = np.abs(coeffs[-1, 1:] - coeffs[-2, 1:]) / sim.dt
-    if rate.max(initial=0.0) > settle_tol:
-        raise ValueError(
-            f"trajectory not settled: max |dalpha/dt| = {rate.max():.3e} > {settle_tol:.1e}"
-        )
-    terminal = coeffs[-1, 1:]
-    return np.abs(terminal), np.abs(terminal - pred.alpha_inf[1:])
 
 
 def x_coupling(system: OscillatorSystem, basis: SpectralBasis, r1: int) -> float:

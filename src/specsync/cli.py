@@ -28,8 +28,8 @@ from .dynamics import (
 from .equitable import approximation_bound, check_aep, equitable_error, qep_score
 from .experiments import available_scenarios, run_scenario
 from .generators import PlantedAepConfig, SbmConfig, nested_aep, perturb, planted_aep, sample_sbm
-from .graph import laplacian, quotient_matrix
-from .spectral import decompose, eigendecompose_general, spectral_basis
+from .graph import laplacian
+from .spectral import decompose, eigendecompose, spectral_basis
 
 
 class CliError(Exception):
@@ -79,7 +79,6 @@ def _vector(spec: str, expected_len: int, what: str) -> np.ndarray:
 
 
 def _cmd_generate(args) -> int:
-    out = _out_dir(args)
     config = _load_json(args.config)
     try:
         if args.kind == "planted-aep":
@@ -119,10 +118,12 @@ def _cmd_generate(args) -> int:
         return 1
 
     if args.perturb is not None:
-        if args.perturb < 0:
-            raise CliError("--perturb must be nonnegative")
-        graph = perturb(graph, partitions[-1], args.perturb, seed=args.seed)
+        try:
+            graph = perturb(graph, partitions[-1], args.perturb, seed=args.seed)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
 
+    out = _out_dir(args)
     fileio.save_graph(graph, out / "graph.json")
     written = ["graph.json"]
     if len(partitions) == 1:
@@ -142,8 +143,16 @@ def _cmd_analyze(args) -> int:
     partition = _load_partition(args.partition)
     if partition.n != graph.n:
         raise CliError("partition length does not match graph size")
-    aep = check_aep(graph, partition, tol=args.tol)
     err = equitable_error(graph, partition)
+    basis = None if args.gamma is None else eigendecompose(laplacian(graph))
+    try:  # the model layer rejects a bad --tol or --gamma
+        aep = check_aep(graph, partition, tol=args.tol)
+        bounds = None if basis is None else [
+            approximation_bound(graph, partition, basis, (m.eigenvalue, m.vector), args.gamma)
+            for m in err.per_mode
+        ]
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     report = {
         "n": graph.n,
         "k": partition.k,
@@ -164,11 +173,7 @@ def _cmd_analyze(args) -> int:
             for m in err.per_mode
         ],
     }
-    if args.gamma is not None:
-        if args.gamma <= 0:
-            raise CliError("--gamma must be positive")
-        basis = spectral_basis(graph)
-        q_vals, q_vecs = eigendecompose_general(quotient_matrix(laplacian(graph), partition))
+    if bounds is not None:
         report["approximation_bounds"] = [
             {
                 "eigenvalue": ab.eigenvalue,
@@ -178,10 +183,7 @@ def _cmd_analyze(args) -> int:
                 "actual_error": ab.actual_error,
                 "bound": ab.bound,
             }
-            for ab in (
-                approximation_bound(graph, partition, basis, (q_vals[r], q_vecs[:, r]), args.gamma)
-                for r in range(partition.k)
-            )
+            for ab in bounds
         ]
     _emit_report(report, args)
     return 0
@@ -210,6 +212,8 @@ def _cmd_simulate(args) -> int:
     theta0 = (
         _vector(args.theta0, graph.n, "theta0") if args.theta0 else np.zeros(graph.n)
     )
+    if args.rezero is not None and not np.isfinite(args.rezero):
+        raise CliError(f"--rezero must be a finite time, got {args.rezero}")
     system = _system(graph, omega, args.sigma, beta)
     basis = spectral_basis(graph)
     try:

@@ -126,6 +126,8 @@ def check_aep(
     """
     if partition.n != g.n:
         raise ValueError("partition does not match graph size")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     err = equitable_error_matrix(laplacian(g), partition)
     max_dev = float(np.abs(err).max(initial=0.0))
     return AepReport(
@@ -177,8 +179,8 @@ def approximation_bound(
     projects P v onto them, and reports the actual truncation error next to
     the guaranteed bound (||E v|| / gamma) sqrt(n - |retained|).
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if partition.n != g.n or basis.n != g.n:
         raise ValueError("graph, partition, and basis sizes must agree")
     lam, v = mode

@@ -2,9 +2,10 @@
 
 Each scenario builds its system from (config, seed), runs the relevant
 simulation or computation, evaluates a fixed list of named assertions, and
-optionally writes CSV/JSON artifacts for external plotting. Assertion
-failures are reported in the returned ScenarioResult, never raised; every
-scenario is a deterministic function of (name, config, seed).
+names its CSV artifacts for external plotting, each with the function that
+writes it; only run_scenario touches the file system. Assertion failures
+are reported in the returned ScenarioResult, never raised; every scenario
+is a deterministic function of (name, config, seed).
 
 Scenarios
 ---------
@@ -31,13 +32,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .graph import WeightedGraph, VertexPartition, indicator_matrix, laplacian, quotient_matrix
-from .spectral import spectral_basis, structural_indices, decompose, eigendecompose_general
+from .spectral import eigendecompose, spectral_basis, structural_indices, decompose
 from .equitable import approximation_bound, equitable_error, equitable_error_matrix, qep_score
 from .dynamics import (
     OscillatorSystem,
@@ -89,12 +91,9 @@ def _spearman(x, y) -> float:
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
-def _write_table(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+def _table(header: list[str], rows):
+    """Writer of a CSV table, called with the path it should write."""
+    return partial(fileio.write_table, header=header, rows=rows)
 
 
 def _planted_instance(config: dict, seed: int):
@@ -121,7 +120,7 @@ def _structural_drive(basis, struct, targets, sigma):
 # scenarios
 
 
-def _scn_basis_equivalence(config, seed, out):
+def _scn_basis_equivalence(config, seed):
     rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
@@ -152,10 +151,6 @@ def _scn_basis_equivalence(config, seed, out):
         diff = float(np.abs(reconstruct_trajectory(ctraj).states - traj.states).max())
         worst = max(worst, diff)
         rows.append((idx, n, g.m, diff))
-    artifacts = []
-    if out:
-        _write_table(out / "discrepancies.csv", ["system", "n", "m", "max_abs_diff"], rows)
-        artifacts.append(str(out / "discrepancies.csv"))
     assertions = [
         Assertion(
             "vertex_vs_coefficient_max_phase_diff",
@@ -163,10 +158,11 @@ def _scn_basis_equivalence(config, seed, out):
             f"max |dtheta| = {worst:.3e} (tol {config['tol']:.1e})",
         )
     ]
-    return assertions, {"max_phase_diff": worst}, artifacts
+    files = {"discrepancies.csv": _table(["system", "n", "m", "max_abs_diff"], rows)}
+    return assertions, {"max_phase_diff": worst}, files
 
 
-def _scn_fig2(config, seed, out):
+def _scn_fig2(config, seed):
     g, p = _planted_instance(config, seed)
     basis = spectral_basis(g)
     struct = structural_indices(basis, p)
@@ -182,7 +178,8 @@ def _scn_fig2(config, seed, out):
     )
     terminal = ctraj.coeffs[-1]
     energy = float((terminal[nonstruct] ** 2).sum() / (terminal[1:] ** 2).sum())
-    spread = float(cluster_spread(reconstruct_trajectory(ctraj), p, -1).max())
+    traj = reconstruct_trajectory(ctraj)
+    spread = float(cluster_spread(traj, p, -1).max())
     err = np.abs(terminal[1:] - pred.alpha_inf[1:])
     small = np.abs(pred.alpha_inf[1:]) < 0.1
     small_ok = bool(
@@ -213,20 +210,19 @@ def _scn_fig2(config, seed, out):
             f"{int(small.sum())} modes below 0.1 checked at {config['match_rtol']:.0%}",
         ),
     ]
-    artifacts = []
-    if out:
-        fileio.write_coefficient_csv(ctraj, out / "coefficients.csv")
-        fileio.write_phase_csv(reconstruct_trajectory(ctraj), out / "phases.csv")
-        artifacts += [str(out / "coefficients.csv"), str(out / "phases.csv")]
     metrics = {
         "nonstructural_energy_fraction": energy,
         "max_cluster_spread": spread,
         "structural_alpha_inf": [float(pred.alpha_inf[r]) for r in struct[1:]],
     }
-    return assertions, metrics, artifacts
+    files = {
+        "coefficients.csv": partial(fileio.write_coefficient_csv, ctraj),
+        "phases.csv": partial(fileio.write_phase_csv, traj),
+    }
+    return assertions, metrics, files
 
 
-def _scn_fig3(config, seed, out):
+def _scn_fig3(config, seed):
     mags, errs, per_seed = [], [], []
     rows = []
     for s in range(config["seeds"]):
@@ -247,10 +243,6 @@ def _scn_fig3(config, seed, out):
         per_seed.append(_spearman(m, e))
         rows += [(s, r + 1, m[r], e[r]) for r in range(m.size)]
     pooled = _spearman(np.asarray(mags), np.asarray(errs))
-    artifacts = []
-    if out:
-        _write_table(out / "error_profile.csv", ["seed", "mode", "alpha_inf_abs", "abs_error"], rows)
-        artifacts.append(str(out / "error_profile.csv"))
     assertions = [
         Assertion(
             "error_grows_with_magnitude",
@@ -259,7 +251,8 @@ def _scn_fig3(config, seed, out):
         )
     ]
     metrics = {"pooled_spearman": pooled, "per_seed_spearman": per_seed}
-    return assertions, metrics, artifacts
+    files = {"error_profile.csv": _table(["seed", "mode", "alpha_inf_abs", "abs_error"], rows)}
+    return assertions, metrics, files
 
 
 def _classify_active(active, coarse, fine):
@@ -273,7 +266,7 @@ def _classify_active(active, coarse, fine):
     return "three_cluster"
 
 
-def _scn_fig4(config, seed, out):
+def _scn_fig4(config, seed):
     g, parts = nested_aep(
         levels=tuple(config["levels"]),
         leaf_size=config["leaf_size"],
@@ -282,7 +275,8 @@ def _scn_fig4(config, seed, out):
         jitter=config["jitter"],
         seed=seed,
     )
-    basis = spectral_basis(g)
+    # Only eigenvalues and vertex vectors are read; no edge vectors needed.
+    basis = eigendecompose(laplacian(g))
     coarse = set(structural_indices(basis, parts[0]))
     fine = set(structural_indices(basis, parts[1]))
     sigma = config["sigma"]
@@ -337,12 +331,6 @@ def _scn_fig4(config, seed, out):
             ok = ok and bool(rel <= config["rate_rtol"])
         rate_pass += ok
 
-    artifacts = []
-    if out:
-        _write_table(out / "regimes.csv", ["seed", "t_start", "t_end", "active_modes"], regime_rows)
-        _write_table(out / "decay_rates.csv", ["seed", "mode", "eigenvalue", "fitted_rate", "rel_error"], rate_rows)
-        fileio.write_coefficient_csv(first_ctraj, out / "coefficients_seed0.csv")
-        artifacts += [str(out / p) for p in ("regimes.csv", "decay_rates.csv", "coefficients_seed0.csv")]
     assertions = [
         Assertion(
             "structural_modes_nested_and_lowest",
@@ -361,10 +349,15 @@ def _scn_fig4(config, seed, out):
         ),
     ]
     metrics = {"sequence_pass": sequence_pass, "rate_pass": rate_pass}
-    return assertions, metrics, artifacts
+    files = {
+        "regimes.csv": _table(["seed", "t_start", "t_end", "active_modes"], regime_rows),
+        "decay_rates.csv": _table(["seed", "mode", "eigenvalue", "fitted_rate", "rel_error"], rate_rows),
+        "coefficients_seed0.csv": partial(fileio.write_coefficient_csv, first_ctraj),
+    }
+    return assertions, metrics, files
 
 
-def _scn_fig5(config, seed, out):
+def _scn_fig5(config, seed):
     etas = config["etas"]
     chain_total = chain_ok = bound_ok = 0
     mean_scores, mean_spreads = [], []
@@ -384,10 +377,10 @@ def _scn_fig5(config, seed, out):
                     m.epsilon_norm <= m.bound_sigma * (1 + 1e-12) + 1e-15
                     and m.bound_sigma <= m.bound_rowsum * (1 + 1e-12) + 1e-15
                 )
-            q_vals, q_vecs = eigendecompose_general(quotient_matrix(laplacian(g), p))
+            q_vals = [m.eigenvalue for m in report.per_mode]
             gamma = config["gamma_frac"] * float(np.diff(q_vals).min())
-            for r in range(p.k):
-                ab = approximation_bound(g, p, basis, (q_vals[r], q_vecs[:, r]), gamma)
+            for m in report.per_mode:
+                ab = approximation_bound(g, p, basis, (m.eigenvalue, m.vector), gamma)
                 bound_ok += ab.actual_error <= ab.bound * (1 + 1e-10) + 1e-12
             # Same cell-constant drive as on the clean instance; only the
             # coupling weights carry the noise.
@@ -409,10 +402,6 @@ def _scn_fig5(config, seed, out):
         mean_spreads.append(float(np.mean(spreads)))
     monotone_scores = all(a > b for a, b in zip(mean_scores, mean_scores[1:]))
     monotone_spreads = all(a > b for a, b in zip(mean_spreads, mean_spreads[1:]))
-    artifacts = []
-    if out:
-        _write_table(out / "sweep.csv", ["eta", "seed", "qep_score", "max_spread"], rows)
-        artifacts.append(str(out / "sweep.csv"))
     assertions = [
         Assertion(
             "error_bound_chain",
@@ -436,7 +425,8 @@ def _scn_fig5(config, seed, out):
         ),
     ]
     metrics = {"mean_scores": mean_scores, "mean_spreads": mean_spreads}
-    return assertions, metrics, artifacts
+    files = {"sweep.csv": _table(["eta", "seed", "qep_score", "max_spread"], rows)}
+    return assertions, metrics, files
 
 
 def build_fig6_system(config: dict | None = None, seed: int = 0):
@@ -464,7 +454,7 @@ def build_fig6_system(config: dict | None = None, seed: int = 0):
     return g, p, basis, sys_, r1, r2
 
 
-def _scn_fig6(config, seed, out):
+def _scn_fig6(config, seed):
     g, p, basis, sys_, r1, r2 = build_fig6_system(config, seed)
     entries = {e.mode: e for e in discriminant_report(sys_, basis)}
     delta1 = entries[r1].delta
@@ -504,24 +494,6 @@ def _scn_fig6(config, seed, out):
     )
     slip_period = 2.0 * np.pi / (gamma1 * abs(entries[r1].omega_r))
 
-    artifacts = []
-    if out:
-        fileio.write_coefficient_csv(ctraj, out / "coefficients.csv")
-        rows = [
-            (float(t_rel[i]), float(sim[i]), float(pred[i])) for i in range(cut)
-        ]
-        _write_table(out / "tangent_prediction.csv", ["t", "simulated", "predicted"], rows)
-        sweep_rows = []
-        for sigma in np.linspace(0.05, 1.0, 20):
-            probe = OscillatorSystem(graph=g, omega=sys_.omega, sigma=float(sigma))
-            for e in discriminant_report(probe, basis):
-                sweep_rows.append((float(sigma), e.mode, e.delta))
-        _write_table(out / "discriminant_sweep.csv", ["sigma", "mode", "delta"], sweep_rows)
-        artifacts += [
-            str(out / p)
-            for p in ("coefficients.csv", "tangent_prediction.csv", "discriminant_sweep.csv")
-        ]
-
     assertions = [
         Assertion(
             "discriminant_pattern",
@@ -555,10 +527,26 @@ def _scn_fig6(config, seed, out):
         "slip_mode": r1,
         "partner_mode": r2,
     }
-    return assertions, metrics, artifacts
+    # A generator, so the sweep runs only when its table is written.
+    sweep_rows = (
+        (float(sigma), e.mode, e.delta)
+        for sigma in np.linspace(0.05, 1.0, 20)
+        for e in discriminant_report(
+            OscillatorSystem(graph=g, omega=sys_.omega, sigma=float(sigma)), basis
+        )
+    )
+    files = {
+        "coefficients.csv": partial(fileio.write_coefficient_csv, ctraj),
+        "tangent_prediction.csv": _table(
+            ["t", "simulated", "predicted"],
+            zip(t_rel[:cut].tolist(), sim.tolist(), pred[:cut].tolist()),
+        ),
+        "discriminant_sweep.csv": _table(["sigma", "mode", "delta"], sweep_rows),
+    }
+    return assertions, metrics, files
 
 
-def _scn_phase_lag_ex1(config, seed, out):
+def _scn_phase_lag_ex1(config, seed):
     g, p = _planted_instance(config, seed)
     basis = spectral_basis(g)
     struct = structural_indices(basis, p)
@@ -590,14 +578,6 @@ def _scn_phase_lag_ex1(config, seed, out):
     plain = omega_spec[struct[1:]] / (sigma * basis.eigenvalues[struct[1:]])
     struct_err = np.abs(term1[struct[1:]] - plain) / np.abs(plain)
 
-    artifacts = []
-    if out:
-        rows = [
-            (r, float(term1[r]), float(pred1.alpha_inf[r]), r in struct)
-            for r in range(1, g.n)
-        ]
-        _write_table(out / "equilibria.csv", ["mode", "simulated", "predicted", "structural"], rows)
-        artifacts.append(str(out / "equilibria.csv"))
     assertions = [
         Assertion(
             "nonstructural_sigma_invariant",
@@ -620,10 +600,12 @@ def _scn_phase_lag_ex1(config, seed, out):
         "max_sigma_change": worst_change if significant else None,
         "significant_nonstructural": len(significant),
     }
-    return assertions, metrics, artifacts
+    rows = [(r, float(term1[r]), float(pred1.alpha_inf[r]), r in struct) for r in range(1, g.n)]
+    files = {"equilibria.csv": _table(["mode", "simulated", "predicted", "structural"], rows)}
+    return assertions, metrics, files
 
 
-def _scn_phase_lag_ex2(config, seed, out):
+def _scn_phase_lag_ex2(config, seed):
     c = config["clique_size"]
     w = config["weight"]
     edges = []
@@ -651,11 +633,6 @@ def _scn_phase_lag_ex2(config, seed, out):
     terminal = ctraj.coeffs[-1][1:]
     big = np.abs(closed) > 1e-3
     rel = np.abs(terminal[big] - closed[big]) / np.abs(closed[big])
-    artifacts = []
-    if out:
-        rows = [(r + 1, float(terminal[r]), float(closed[r])) for r in range(g.n - 1)]
-        _write_table(out / "equilibria.csv", ["mode", "simulated", "closed_form"], rows)
-        artifacts.append(str(out / "equilibria.csv"))
     assertions = [
         Assertion(
             "uniform_weight_formula_is_exact",
@@ -669,7 +646,9 @@ def _scn_phase_lag_ex2(config, seed, out):
         ),
     ]
     metrics = {"max_rel_err": float(rel.max()), "modes_checked": int(big.sum())}
-    return assertions, metrics, artifacts
+    rows = [(r + 1, float(terminal[r]), float(closed[r])) for r in range(g.n - 1)]
+    files = {"equilibria.csv": _table(["mode", "simulated", "closed_form"], rows)}
+    return assertions, metrics, files
 
 
 def _sbm_concentration(g, p, probabilities):
@@ -685,7 +664,7 @@ def _sbm_concentration(g, p, probabilities):
     return stat
 
 
-def _scn_sbm_limit(config, seed, out):
+def _scn_sbm_limit(config, seed):
     pr = tuple(map(tuple, config["probabilities"]))
     sizes = config["sizes"]
     rows = []
@@ -721,10 +700,6 @@ def _scn_sbm_limit(config, seed, out):
         ).max()
     )
 
-    artifacts = []
-    if out:
-        _write_table(out / "concentration.csv", ["seed", "n", "statistic"], rows)
-        artifacts.append(str(out / "concentration.csv"))
     assertions = [
         Assertion(
             "statistic_decreases_with_n",
@@ -738,7 +713,8 @@ def _scn_sbm_limit(config, seed, out):
         ),
     ]
     metrics = {"wins": wins, "identity_dev": identity_dev}
-    return assertions, metrics, artifacts
+    files = {"concentration.csv": _table(["seed", "n", "statistic"], rows)}
+    return assertions, metrics, files
 
 
 _SCENARIOS = {
@@ -767,8 +743,9 @@ def run_scenario(
     """Run one named scenario and report its assertions.
 
     config entries override the scenario's shipped defaults. When out_dir is
-    given, intermediate data is written under out_dir/<name>/ together with
-    a result.json rendering of the returned ScenarioResult.
+    given, the scenario's CSV files are written under out_dir/<name>/
+    together with a result.json rendering of the returned ScenarioResult;
+    without it nothing is written and no file writer runs.
     """
     if name not in _SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; choose from {available_scenarios()}")
@@ -778,11 +755,14 @@ def run_scenario(
         if unknown:
             raise ValueError(f"unknown config keys for {name}: {sorted(unknown)}")
         merged.update(config)
-    out = None
+    assertions, metrics, files = _SCENARIOS[name](merged, seed)
+    artifacts = ()
     if out_dir is not None:
         out = Path(out_dir) / name
         out.mkdir(parents=True, exist_ok=True)
-    assertions, metrics, artifacts = _SCENARIOS[name](merged, seed, out)
+        for file_name, write in files.items():
+            write(out / file_name)
+        artifacts = tuple(str(out / file_name) for file_name in files)
     result = ScenarioResult(
         name=name,
         seed=seed,
@@ -790,8 +770,8 @@ def run_scenario(
         passed=all(a.passed for a in assertions),
         assertions=tuple(assertions),
         metrics=metrics,
-        artifacts=tuple(artifacts),
+        artifacts=artifacts,
     )
-    if out is not None:
+    if out_dir is not None:
         (out / "result.json").write_text(json.dumps(asdict(result), indent=2) + "\n")
     return result

@@ -2,10 +2,9 @@
 
 Graph JSON:      {"n": int, "edges": [[i, j, w], ...]} with 0-indexed i < j.
 Partition JSON:  {"assignment": [c_0, ..., c_{n-1}]}.
-Basis JSON:      {"eigenvalues": [...], "vertex_vectors": [[row-major]]}.
-Trajectory CSV:  header "t,theta_0..theta_{n-1}" (or alpha_*); floats are
-                 written with 17 significant digits so every value
-                 round-trips bit-exactly.
+Trajectory CSV:  header "t,theta_0..theta_{n-1}" (or alpha_*).
+Every CSV goes through write_table, which writes floats with 17
+significant digits so every value round-trips bit-exactly.
 """
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .graph import WeightedGraph, VertexPartition
-from .spectral import SpectralBasis
 from .dynamics import Trajectory, CoefficientTrajectory
 
 __all__ = [
@@ -23,7 +21,7 @@ __all__ = [
     "load_graph",
     "save_partition",
     "load_partition",
-    "save_basis",
+    "write_table",
     "write_phase_csv",
     "write_coefficient_csv",
     "read_timeseries_csv",
@@ -54,21 +52,20 @@ def load_partition(path) -> VertexPartition:
     return VertexPartition(payload["assignment"])
 
 
-def save_basis(basis: SpectralBasis, path) -> None:
-    payload = {
-        "eigenvalues": [float(v) for v in basis.eigenvalues],
-        "vertex_vectors": [[float(x) for x in row] for row in basis.vertex_vectors],
-    }
-    Path(path).write_text(json.dumps(payload) + "\n")
+def write_table(path, header, rows) -> None:
+    """CSV with one header line: floats with 17 significant digits, any
+    other cell with str. rows is iterated once, so it may be a generator."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _write_timeseries(path, times: np.ndarray, series: np.ndarray, prefix: str) -> None:
-    cols = series.shape[1]
-    header = "t," + ",".join(f"{prefix}_{i}" for i in range(cols))
-    lines = [header]
-    for t, row in zip(times, series):
-        lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # Python floats format faster than numpy scalars; one row at a time
+    # keeps the memory of a whole-array tolist() away.
+    header = ["t", *(f"{prefix}_{i}" for i in range(series.shape[1]))]
+    write_table(path, header, ([t, *row.tolist()] for t, row in zip(times.tolist(), series)))
 
 
 def write_phase_csv(traj: Trajectory, path) -> None:

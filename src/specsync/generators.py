@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, VertexPartition, _bfs_connected
+from .graph import WeightedGraph, VertexPartition, _bfs_connected, laplacian
 from .equitable import check_aep
-from .spectral import spectral_basis, structural_indices
+from .spectral import eigendecompose, structural_indices
 
 __all__ = [
     "PlantedAepConfig",
@@ -240,7 +240,7 @@ def _spectrally_ordered(graph: WeightedGraph, parts: list[VertexPartition]) -> b
     The constant mode 0 is structural for every partition and its eigenvalue
     is zero up to roundoff of either sign, so it is left out of the order.
     """
-    basis = spectral_basis(graph)
+    basis = eigendecompose(laplacian(graph))
     sets = [set(structural_indices(basis, p)) for p in parts]
     previous: set[int] = {0}
     boundary = 0.0
@@ -273,8 +273,8 @@ def perturb(
     """
     if partition.n != g.n:
         raise ValueError("partition does not match graph size")
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
+    if not (np.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be finite and nonnegative, got {eta}")
     rng = np.random.default_rng(seed)
     factor = 1.0 + eta * rng.uniform(-1.0, 1.0, size=g.m)
     new_w = np.maximum(g.edge_w * factor, 1e-12 * g.edge_w)

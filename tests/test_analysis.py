@@ -7,12 +7,10 @@ from specsync import (
     OscillatorSystem,
     CoefficientTrajectory,
     spectral_basis,
-    decompose,
     integrate_coefficient,
     planted_aep,
     asymptotic_coefficients,
     linear_solution,
-    prediction_error_profile,
     x_coupling,
     discriminant,
     discriminant_report,
@@ -103,28 +101,6 @@ class TestAsymptoticCoefficients:
             assert abs(pred.lag_spec[r] - direct) < 1e-12
         expected = (pred.omega_spec[1:] - 1.5 * pred.lag_spec[1:]) / (1.5 * basis.eigenvalues[1:])
         assert np.allclose(pred.alpha_inf[1:], expected, atol=1e-14)
-
-
-class TestPredictionErrorProfile:
-    def test_requires_settled_trajectory(self):
-        rng = np.random.default_rng(43)
-        g = random_connected_graph(rng, n_max=6)
-        basis = spectral_basis(g)
-        sys_ = OscillatorSystem(graph=g, omega=rng.normal(size=g.n), sigma=1.0)
-        short = integrate_coefficient(sys_, basis, decompose(rng.uniform(-1, 1, g.n), basis), dt=0.01, steps=5)
-        with pytest.raises(ValueError, match="settled"):
-            prediction_error_profile(short, asymptotic_coefficients(sys_, basis))
-
-    def test_synchronized_uniform_run_has_tiny_errors(self):
-        rng = np.random.default_rng(44)
-        g = random_connected_graph(rng, n_max=6)
-        basis = spectral_basis(g)
-        sys_ = OscillatorSystem(graph=g, omega=np.full(g.n, 0.2), sigma=1.0)
-        alpha0 = np.zeros(g.n)
-        ctraj = integrate_coefficient(sys_, basis, alpha0, dt=0.01, steps=200)
-        mags, errs = prediction_error_profile(ctraj, asymptotic_coefficients(sys_, basis))
-        assert errs.max() < 1e-6
-        assert mags.max() < 1e-6
 
 
 class TestXCoupling:

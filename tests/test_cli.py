@@ -66,6 +66,15 @@ class TestGenerate:
         assert main(["generate", "sbm", "--config", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("eta", ["nan", "inf", "-inf", "-0.1"])
+    def test_bad_perturb_exits_2(self, tmp_path, capsys, eta):
+        cfg = write_json(tmp_path / "c.json", PLANTED_CONFIG)
+        out = tmp_path / "out"
+        assert main(["generate", "planted-aep", "--config", cfg, f"--perturb={eta}",
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_exact_aep_reports_zero_score(self, tmp_path, capsys):
@@ -85,6 +94,20 @@ class TestAnalyze:
         assert abs(report["sigma1"] - 1.0) < 1e-12
         assert abs(report["qep_score"] - 0.75) < 1e-12
         assert len(report["approximation_bounds"]) == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--gamma=nan"], ["--gamma=inf"], ["--gamma=0"], ["--gamma=-0.5"],
+         ["--tol=nan"], ["--tol=inf"], ["--tol=-1e-9"]],
+    )
+    def test_bad_number_exits_2(self, tmp_path, capsys, extra):
+        graph = make_path_graph(tmp_path)
+        part = write_json(tmp_path / "p.json", {"assignment": [0, 1, 1]})
+        report = tmp_path / "report.json"
+        argv = ["analyze", "--graph", graph, "--partition", part, "--out", str(report)]
+        assert main(argv + extra) == 2
+        assert capsys.readouterr().out == ""
+        assert not report.exists()
 
     def test_missing_partition_exits_2(self, tmp_path):
         graph = make_path_graph(tmp_path)
@@ -125,6 +148,15 @@ class TestSimulate:
         times, values = fileio.read_timeseries_csv(out / "trajectory.csv")
         assert times[0] == 1.0
         assert np.abs(values).max() < np.pi
+
+    @pytest.mark.parametrize("when", ["nan", "inf", "-inf"])
+    def test_rezero_must_be_finite(self, tmp_path, capsys, when):
+        graph = make_path_graph(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--graph", graph, "--omega", "[0, 0, 0]", "--steps", "10",
+                     f"--rezero={when}", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
     def test_bad_dt_exits_2(self, tmp_path):
         graph = make_path_graph(tmp_path)

@@ -55,6 +55,11 @@ class TestCheckAep:
     def test_k23_bipartition_is_aep(self, k23):
         assert check_aep(k23, VertexPartition([0, 0, 1, 1, 1])).is_aep
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-9])
+    def test_rejects_bad_tol(self, path3, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            check_aep(path3, VertexPartition([0, 1, 0]), tol=tol)
+
     def test_trivial_and_discrete_partitions_are_aeps(self):
         rng = np.random.default_rng(20)
         g = random_connected_graph(rng)
@@ -258,6 +263,13 @@ class TestApproximationBound:
         p = VertexPartition([0, 1, 0])
         with pytest.raises(ValueError, match="gamma"):
             approximation_bound(path3, p, basis, (0.0, np.array([1.0, 1.0])), 0.0)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_gamma(self, path3, gamma):
+        basis = spectral_basis(path3)
+        p = VertexPartition([0, 1, 0])
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            approximation_bound(path3, p, basis, (0.0, np.array([1.0, 1.0])), gamma)
 
 
 class TestQepScore:

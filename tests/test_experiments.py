@@ -1,13 +1,22 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from specsync import available_scenarios, run_scenario
+from specsync import available_scenarios, fileio, run_scenario
 from specsync.experiments import build_fig6_system
 
 
 SMALL_BASIS_EQ = {"systems": 3, "n_min": 5, "n_max": 8, "t_final": 5.0, "dt": 0.01}
 SMALL_SBM = {"sizes": [60, 240], "seeds": 3, "required": 2}
+
+
+def assert_holds_exactly_artifacts(res, out: Path):
+    """out holds result.json and the listed artifacts, and nothing else."""
+    assert res.artifacts
+    assert all(Path(a).parent == out for a in res.artifacts)
+    names = [Path(a).name for a in res.artifacts]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + ["result.json"])
 
 
 class TestRegistry:
@@ -46,6 +55,23 @@ class TestDeterminism:
         assert payload["passed"] == res.passed
         assert payload["seed"] == 1
         assert (tmp_path / "basis_equivalence" / "discrepancies.csv").exists()
+        assert_holds_exactly_artifacts(res, tmp_path / "basis_equivalence")
+
+    @pytest.mark.parametrize(
+        "name, config",
+        [("basis_equivalence", SMALL_BASIS_EQ), ("fig2_cluster_sync", {"steps": 200}),
+         ("fig6_single_mode", {"t_final": 20.0})],
+    )
+    def test_no_out_dir_writes_nothing(self, tmp_path, monkeypatch, name, config):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a file writer ran without out_dir")
+
+        for writer in ("write_table", "write_phase_csv", "write_coefficient_csv"):
+            monkeypatch.setattr(fileio, writer, refuse)
+        monkeypatch.chdir(tmp_path)
+        res = run_scenario(name, config=config, seed=0)
+        assert res.artifacts == ()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSmallRuns:
@@ -58,8 +84,9 @@ class TestSmallRuns:
             "fig2_cluster_sync", config={"steps": 2000}, seed=0, out_dir=tmp_path
         )
         assert res.passed, [a.detail for a in res.assertions if not a.passed]
-        assert (tmp_path / "fig2_cluster_sync" / "coefficients.csv").exists()
-        assert (tmp_path / "fig2_cluster_sync" / "phases.csv").exists()
+        out = tmp_path / "fig2_cluster_sync"
+        assert res.artifacts == (str(out / "coefficients.csv"), str(out / "phases.csv"))
+        assert_holds_exactly_artifacts(res, out)
 
     @pytest.mark.parametrize(
         "name, config",
@@ -72,6 +99,8 @@ class TestSmallRuns:
         assert payload["passed"] is True
         assert [a["passed"] for a in payload["assertions"]] == [True] * len(res.assertions)
         assert payload["metrics"] == json.loads(json.dumps(res.metrics))
+        assert payload["artifacts"] == list(res.artifacts)
+        assert_holds_exactly_artifacts(res, tmp_path / name)
 
     def test_assertions_reported_not_raised(self):
         # An impossible tolerance turns into a reported failure.

@@ -45,17 +45,6 @@ class TestPartitionJson:
         assert json.loads(path.read_text()) == {"assignment": [0, 0, 1]}
 
 
-class TestBasisJson:
-    def test_contains_row_major_vectors(self, tmp_path):
-        g = WeightedGraph(2, [(0, 1, 2.0)])
-        basis = spectral_basis(g)
-        path = tmp_path / "basis.json"
-        fileio.save_basis(basis, path)
-        payload = json.loads(path.read_text())
-        assert np.allclose(payload["eigenvalues"], [0.0, 4.0])
-        assert np.allclose(payload["vertex_vectors"], basis.vertex_vectors)
-
-
 class TestTrajectoryCsv:
     def test_phase_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(71)
@@ -76,6 +65,29 @@ class TestTrajectoryCsv:
         coeff_path = tmp_path / "coeffs.csv"
         fileio.write_coefficient_csv(decompose_trajectory(traj, spectral_basis(g)), coeff_path)
         assert coeff_path.read_text().splitlines()[0] == "t,alpha_0,alpha_1"
+
+
+class TestWriteTable:
+    def test_exact_text(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rows = [(0.1, -0.0, 1e300, 5e-324, 3, True, "1 2")]
+        fileio.write_table(path, ["a", "b", "c", "d", "e", "f", "g"], rows)
+        assert path.read_text() == (
+            "a,b,c,d,e,f,g\n"
+            "0.10000000000000001,-0,1.0000000000000001e+300,4.9406564584124654e-324,3,True,1 2\n"
+        )
+
+    def test_numpy_floats_match_python_floats(self, tmp_path):
+        values = [0.1, -0.0, 0.0, 1e300, 5e-324, -2.5e-7, 1.0 / 3.0]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        fileio.write_table(a, ["x"] * len(values), [values])
+        fileio.write_table(b, ["x"] * len(values), [np.array(values)])
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_rows_may_be_a_generator(self, tmp_path):
+        path = tmp_path / "gen.csv"
+        fileio.write_table(path, ["i", "sq"], ((i, float(i * i)) for i in range(3)))
+        assert path.read_text() == "i,sq\n0,0\n1,1\n2,4\n"
 
 
 class TestVectorSpec:

@@ -206,6 +206,12 @@ class TestPerturb:
         with pytest.raises(ValueError, match="eta"):
             perturb(g, p, -0.1, seed=0)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_eta_rejected(self, eta):
+        g, p = self._instance()
+        with pytest.raises(ValueError, match="eta must be finite and nonnegative"):
+            perturb(g, p, eta, seed=0)
+
 
 class TestSampleSbm:
     def test_all_ones_probabilities_give_complete_graph(self):
