@@ -14,10 +14,11 @@ the quadratic correction for a single still-dynamical mode r1 (all other
 modes pinned at their limits) yields
 
     dalpha/dt = omega^(r1) - sigma lambda_r1 alpha + sigma x_r1 alpha^2,
-    x_r1 = sum_{s != 0, r1} omega^(s) / (2 sigma lambda_s)
-               sum_a W_aa (e_a^(r1))^3 e_a^(s),
+    x_r1 = sum_{s != 0, r1} omega^(s) / (2 sigma lambda_s) O[s, r1],
 
-whose discriminant Delta = (sigma lambda_r1)^2 - 4 sigma omega^(r1) x_r1
+where the cubic edge overlaps O[s, r] = sum_a W_aa (e_a^(r))^3 e_a^(s) of
+all mode pairs come from one product E^T (W E^3) of the edge vectors. The
+discriminant Delta = (sigma lambda_r1)^2 - 4 sigma omega^(r1) x_r1
 separates settling to a fixed point (Delta > 0) from unbounded, limit-cycle
 style mode dynamics (Delta < 0, solved by a tangent branch that diverges in
 finite time). Transient regime structure is read off a coefficient
@@ -39,8 +40,6 @@ __all__ = [
     "RegimeSegmentation",
     "asymptotic_coefficients",
     "linear_solution",
-    "x_coupling",
-    "discriminant",
     "discriminant_report",
     "single_mode_solution",
     "segment_regimes",
@@ -95,11 +94,6 @@ class RegimeSegmentation:
     regimes: tuple[Regime, ...]
 
 
-def _check_mode(basis: SpectralBasis, r: int) -> None:
-    if not 1 <= r < basis.n:
-        raise ValueError(f"mode index must be in 1..{basis.n - 1}, got {r}")
-
-
 def asymptotic_coefficients(
     system: OscillatorSystem, basis: SpectralBasis
 ) -> LinearPrediction:
@@ -134,49 +128,31 @@ def linear_solution(pred: LinearPrediction, r: int, alpha_r0: float, t):
     return pred.alpha_inf[r] * (1.0 - decay) + alpha_r0 * decay
 
 
-def x_coupling(system: OscillatorSystem, basis: SpectralBasis, r1: int) -> float:
-    """Cubic edge-overlap coupling of mode r1 with the pinned modes.
-
-    x_r1 = sum_{s != 0, r1} omega^(s) / (2 sigma lambda_s)
-               sum_a W_aa (e_a^(r1))^3 e_a^(s)
-    """
-    if basis.edge_vectors is None or basis.n != system.graph.n:
-        raise ValueError("basis must be built from the system graph")
-    if system.sigma <= 0:
-        raise ValueError("mode coupling requires positive coupling strength")
-    _check_mode(basis, r1)
-    w = system.graph.edge_w
-    evec = basis.edge_vectors
-    cubic = w * evec[:, r1] ** 3
-    overlaps = evec.T @ cubic  # sum_a W_aa (e_a^(r1))^3 e_a^(s) per mode s
-    omega_spec = basis.vertex_vectors.T @ system.omega
-    include = np.ones(basis.n, dtype=bool)
-    include[[0, r1]] = False
-    terms = (
-        omega_spec[include]
-        / (2.0 * system.sigma * basis.eigenvalues[include])
-        * overlaps[include]
-    )
-    return float(terms.sum())
-
-
-def discriminant(
-    system: OscillatorSystem, basis: SpectralBasis, r1: int
-) -> DiscriminantEntry:
-    """Discriminant Delta_r1 = (sigma lambda_r1)^2 - 4 sigma omega^(r1) x_r1."""
-    _check_mode(basis, r1)
-    omega_r = float(basis.vertex_vectors[:, r1] @ system.omega)
-    x = x_coupling(system, basis, r1)
-    lam = basis.eigenvalues[r1]
-    delta = (system.sigma * lam) ** 2 - 4.0 * system.sigma * omega_r * x
-    return DiscriminantEntry(mode=r1, omega_r=omega_r, x=x, delta=float(delta))
-
-
 def discriminant_report(
     system: OscillatorSystem, basis: SpectralBasis
 ) -> tuple[DiscriminantEntry, ...]:
-    """Discriminant entries for every candidate mode r1 >= 1."""
-    return tuple(discriminant(system, basis, r) for r in range(1, basis.n))
+    """Delta_r = (sigma lambda_r)^2 - 4 sigma omega^(r) x_r for every mode r >= 1.
+
+    Every x_r is read off one overlap product O = E^T (W E^3).
+    """
+    pred = asymptotic_coefficients(system, basis)
+    evec = basis.edge_vectors
+    cubic = evec**3
+    cubic *= system.graph.edge_w[:, None]
+    overlaps = evec.T @ cubic
+    # Zero the s = 0 and s = r terms rather than subtracting them, so x_r is
+    # exactly 0.0 when no other mode exists; lambda_0 is a roundoff zero.
+    np.fill_diagonal(overlaps, 0.0)
+    weights = np.zeros(basis.n)
+    weights[1:] = pred.omega_spec[1:] / (2.0 * system.sigma * basis.eigenvalues[1:])
+    x = weights @ overlaps
+    delta = pred.decay_rates**2 - 4.0 * system.sigma * pred.omega_spec * x
+    return tuple(
+        DiscriminantEntry(
+            mode=r, omega_r=float(pred.omega_spec[r]), x=float(x[r]), delta=float(delta[r])
+        )
+        for r in range(1, basis.n)
+    )
 
 
 def single_mode_solution(
@@ -204,7 +180,9 @@ def single_mode_solution(
     10 sqrt(-Delta)), are flagged invalid. With x = 0 the quadratic term
     vanishes and the linearized solution is returned (always valid).
     """
-    entry = discriminant(system, basis, r1)
+    if not 1 <= r1 < basis.n:
+        raise ValueError(f"mode index must be in 1..{basis.n - 1}, got {r1}")
+    entry = discriminant_report(system, basis)[r1 - 1]
     lam = float(basis.eigenvalues[r1])
     sigma = system.sigma
     omega_r, x, delta = entry.omega_r, entry.x, entry.delta

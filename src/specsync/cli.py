@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .analysis import asymptotic_coefficients, discriminant, discriminant_report
+from .analysis import asymptotic_coefficients, discriminant_report
 from .dynamics import (
     BlowUpError,
     OscillatorSystem,
@@ -245,19 +245,19 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_predict(args) -> int:
     graph = _load_graph(args.graph)
-    if args.sigma <= 0:
-        raise CliError("--sigma must be positive")
+    if args.mode is not None and not 1 <= args.mode < graph.n:
+        raise CliError(f"--mode must be in 1..{graph.n - 1}")
     omega = _vector(args.omega, graph.n, "omega")
     beta = _vector(args.beta, graph.m, "beta") if args.beta else None
     system = _system(graph, omega, args.sigma, beta)
     basis = spectral_basis(graph)
-    pred = asymptotic_coefficients(system, basis)
+    try:  # the model layer rejects a nonpositive --sigma
+        pred = asymptotic_coefficients(system, basis)
+        entries = discriminant_report(system, basis)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     if args.mode is not None:
-        if not 1 <= args.mode < graph.n:
-            raise CliError(f"--mode must be in 1..{graph.n - 1}")
-        entries = [discriminant(system, basis, args.mode)]
-    else:
-        entries = list(discriminant_report(system, basis))
+        entries = [entries[args.mode - 1]]
     report = {
         "sigma": args.sigma,
         "eigenvalues": [float(v) for v in basis.eigenvalues],
@@ -294,7 +294,10 @@ def _cmd_experiment(args) -> int:
             )
     config = _load_json(args.config) if args.config else None
     for name in names:
-        result = run_scenario(name, config=config, seed=args.seed, out_dir=args.out_dir)
+        try:  # scenarios are pure functions of (config, seed)
+            result = run_scenario(name, config=config, seed=args.seed, out_dir=args.out_dir)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         status = "PASS" if result.passed else "FAIL"
         print(f"{result.name}: {status}")
         for assertion in result.assertions:

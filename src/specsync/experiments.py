@@ -85,6 +85,17 @@ def _load_default_config(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
+_JSON_TYPES = (
+    (bool, "boolean"), (int, "integer"), (float, "number"),
+    (str, "string"), ((list, tuple), "array"), (dict, "object"),
+)
+
+
+def _json_type(value) -> str:
+    return next((name for kind, name in _JSON_TYPES if isinstance(value, kind)),
+                type(value).__name__)
+
+
 def _spearman(x, y) -> float:
     rx = np.argsort(np.argsort(x))
     ry = np.argsort(np.argsort(y))
@@ -742,18 +753,27 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run one named scenario and report its assertions.
 
-    config entries override the scenario's shipped defaults. When out_dir is
+    config entries override the scenario's shipped defaults and must have
+    their JSON types (an integer may stand for a number); seed must be a
+    nonnegative integer. Both are checked before the scenario runs, and a
+    scenario raises ValueError only for a bad config. When out_dir is
     given, the scenario's CSV files are written under out_dir/<name>/
     together with a result.json rendering of the returned ScenarioResult;
     without it nothing is written and no file writer runs.
     """
     if name not in _SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; choose from {available_scenarios()}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     merged = _load_default_config(name)
     if config:
         unknown = set(config) - set(merged)
         if unknown:
             raise ValueError(f"unknown config keys for {name}: {sorted(unknown)}")
+        for key, value in config.items():
+            want, got = _json_type(merged[key]), _json_type(value)
+            if got != want and (want, got) != ("number", "integer"):
+                raise ValueError(f"config key {key!r} of {name} must be a JSON {want}, got {got}")
         merged.update(config)
     assertions, metrics, files = _SCENARIOS[name](merged, seed)
     artifacts = ()

@@ -204,13 +204,6 @@ class VertexPartition:
         return f"VertexPartition(n={self.n}, k={self.k})"
 
 
-def _check_partition(g: WeightedGraph, p: VertexPartition) -> None:
-    if p.n != g.n:
-        raise ValueError(
-            f"partition covers {p.n} vertices but graph has {g.n}"
-        )
-
-
 def adjacency(g: WeightedGraph) -> np.ndarray:
     """Symmetric weighted adjacency matrix A."""
     a = np.zeros((g.n, g.n))

@@ -52,6 +52,29 @@ def oracle_down_edge_laplacian(g):
     return (b.T @ b) * g.edge_w[None, :]
 
 
+def oracle_x_coupling(system, basis, r1):
+    """Cubic edge-overlap coupling x_r1, one overlap column at a time.
+
+    x_r1 = sum_{s != 0, r1} omega^(s) / (2 sigma lambda_s)
+               sum_a W_aa (e_a^(r1))^3 e_a^(s)
+
+    Test-only reference; the package forms every overlap in one product.
+    """
+    w = system.graph.edge_w
+    evec = basis.edge_vectors
+    cubic = w * evec[:, r1] ** 3
+    overlaps = evec.T @ cubic  # sum_a W_aa (e_a^(r1))^3 e_a^(s) per mode s
+    omega_spec = basis.vertex_vectors.T @ system.omega
+    include = np.ones(basis.n, dtype=bool)
+    include[[0, r1]] = False
+    terms = (
+        omega_spec[include]
+        / (2.0 * system.sigma * basis.eigenvalues[include])
+        * overlaps[include]
+    )
+    return float(terms.sum())
+
+
 @pytest.fixture
 def path3():
     """Path graph 0-1-2 with unit weights."""

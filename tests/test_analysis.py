@@ -11,15 +11,13 @@ from specsync import (
     planted_aep,
     asymptotic_coefficients,
     linear_solution,
-    x_coupling,
-    discriminant,
     discriminant_report,
     single_mode_solution,
     segment_regimes,
     fit_decay_rates,
 )
 
-from conftest import random_connected_graph
+from conftest import oracle_x_coupling, random_connected_graph
 
 
 def make_system(rng, n_max=10, sigma=1.0, omega_scale=0.3, beta_scale=0.0):
@@ -27,6 +25,13 @@ def make_system(rng, n_max=10, sigma=1.0, omega_scale=0.3, beta_scale=0.0):
     omega = rng.normal(0.0, omega_scale, size=g.n)
     beta = rng.uniform(-beta_scale, beta_scale, size=g.m) if beta_scale else None
     return OscillatorSystem(graph=g, omega=omega, sigma=sigma, beta=beta)
+
+
+def report_entry(system, basis, r):
+    """The discriminant_report entry of mode r."""
+    entry = discriminant_report(system, basis)[r - 1]
+    assert entry.mode == r
+    return entry
 
 
 def synthetic_traj(basis, times, coeffs):
@@ -110,13 +115,13 @@ class TestXCoupling:
         basis = spectral_basis(g)
         omega = 0.8 * basis.vertex_vectors[:, 2]
         sys_ = OscillatorSystem(graph=g, omega=omega, sigma=1.0)
-        assert abs(x_coupling(sys_, basis, 2)) < 1e-12
+        assert abs(report_entry(sys_, basis, 2).x) < 1e-12
 
     def test_single_edge_graph_has_no_coupling(self):
         g = WeightedGraph(2, [(0, 1, 1.0)])
         basis = spectral_basis(g)
         sys_ = OscillatorSystem(graph=g, omega=np.array([0.4, -0.4]), sigma=1.0)
-        assert x_coupling(sys_, basis, 1) == 0.0
+        assert report_entry(sys_, basis, 1).x == 0.0
 
     def test_matches_brute_force_sum(self):
         g, _ = planted_aep(
@@ -131,6 +136,7 @@ class TestXCoupling:
         basis = spectral_basis(g)
         sys_ = OscillatorSystem(graph=g, omega=rng.normal(size=g.n), sigma=1.7)
         omega_spec = basis.vertex_vectors.T @ sys_.omega
+        report = discriminant_report(sys_, basis)
         for r1 in range(1, g.n):
             brute = 0.0
             for s in range(1, g.n):
@@ -144,7 +150,66 @@ class TestXCoupling:
                         * basis.edge_vectors[a, s]
                     )
                 brute += omega_spec[s] / (2.0 * sys_.sigma * basis.eigenvalues[s]) * inner
-            assert abs(x_coupling(sys_, basis, r1) - brute) < 1e-12
+            assert abs(report[r1 - 1].x - brute) < 1e-12
+
+    def test_rejects_foreign_basis_and_nonpositive_coupling(self):
+        rng = np.random.default_rng(44)
+        g = random_connected_graph(rng, n_max=8, n_min=5)
+        omega = rng.normal(size=g.n)
+        sys_ = OscillatorSystem(graph=g, omega=omega, sigma=1.0)
+        other = WeightedGraph(2, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="system graph"):
+            discriminant_report(sys_, spectral_basis(other))
+        uncoupled = OscillatorSystem(graph=g, omega=omega, sigma=0.0)
+        with pytest.raises(ValueError, match="positive coupling"):
+            discriminant_report(uncoupled, spectral_basis(g))
+
+
+def sparse_connected_graph(rng, n, extra):
+    """Random spanning tree on n vertices plus `extra` distinct random chords."""
+    pairs = {(int(rng.integers(0, k)), k) for k in range(1, n)}
+    while len(pairs) < n - 1 + extra:
+        i, j = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
+        pairs.add((i, j))
+    return WeightedGraph(n, [(i, j, rng.uniform(0.5, 1.5)) for i, j in sorted(pairs)])
+
+
+# 24 graphs: dense to sparse (density < 0.1), with and without lag.
+ORACLE_KINDS = [(kind, lag) for kind in ("dense", "medium", "sparse") for lag in (False, True)]
+ORACLE_CASES = [(seed, *ORACLE_KINDS[seed % len(ORACLE_KINDS)]) for seed in range(24)]
+
+
+class TestReportMatchesOracle:
+    def build(self, seed, kind):
+        rng = np.random.default_rng(900 + seed)
+        if kind == "sparse":
+            n = int(rng.integers(40, 61))
+            g = sparse_connected_graph(rng, n, extra=n // 2)
+            assert g.m / (n * (n - 1) / 2) < 0.1
+        else:
+            p = 0.9 if kind == "dense" else 0.4
+            g = random_connected_graph(rng, n_max=25, n_min=6, p=p)
+        return rng, g
+
+    @pytest.mark.parametrize("seed, kind, lagged", ORACLE_CASES)
+    def test_x_and_delta_match_per_mode_oracle(self, seed, kind, lagged):
+        rng, g = self.build(seed, kind)
+        beta = rng.uniform(-0.3, 0.3, size=g.m) if lagged else None
+        sigma = float(rng.uniform(0.3, 2.0))
+        sys_ = OscillatorSystem(graph=g, omega=rng.normal(size=g.n), sigma=sigma, beta=beta)
+        basis = spectral_basis(g)
+        report = discriminant_report(sys_, basis)
+        assert [e.mode for e in report] == list(range(1, g.n))
+        x = np.array([e.x for e in report])
+        want_x = np.array([oracle_x_coupling(sys_, basis, r) for r in range(1, g.n)])
+        omega_r = basis.vertex_vectors[:, 1:].T @ sys_.omega
+        lam = basis.eigenvalues[1:]
+        want_delta = (sigma * lam) ** 2 - 4.0 * sigma * omega_r * want_x
+        delta = np.array([e.delta for e in report])
+        assert np.abs(x - want_x).max() <= 1e-12 * np.abs(want_x).max()
+        assert np.abs(delta - want_delta).max() <= 1e-12 * np.abs(want_delta).max()
+        got_omega = np.array([e.omega_r for e in report])
+        assert np.abs(got_omega - omega_r).max() <= 1e-12 * np.abs(omega_r).max()
 
 
 class TestDiscriminant:
@@ -154,7 +219,7 @@ class TestDiscriminant:
         basis = spectral_basis(g)
         omega = basis.vertex_vectors[:, 1] * 0.5  # omega^(2) = 0
         sys_ = OscillatorSystem(graph=g, omega=omega, sigma=1.2)
-        entry = discriminant(sys_, basis, 2)
+        entry = report_entry(sys_, basis, 2)
         expected = (1.2 * basis.eigenvalues[2]) ** 2
         assert abs(entry.delta - expected) < 1e-10
         assert entry.classification == "fixed_point"
@@ -206,7 +271,7 @@ class TestSingleModeSolution:
     def test_stable_branch_solves_reduced_ode(self):
         sys_, basis = self._system_with_coupling()
         r1 = 1
-        entry = discriminant(sys_, basis, r1)
+        entry = report_entry(sys_, basis, r1)
         assert entry.delta > 0
         sl = sys_.sigma * basis.eigenvalues[r1]
         sx = sys_.sigma * entry.x
@@ -220,7 +285,7 @@ class TestSingleModeSolution:
     def test_stable_branch_limit_is_stable_root(self):
         sys_, basis = self._system_with_coupling(seed=51)
         r1 = 2
-        entry = discriminant(sys_, basis, r1)
+        entry = report_entry(sys_, basis, r1)
         assert entry.delta > 0
         sl = sys_.sigma * basis.eigenvalues[r1]
         sx = sys_.sigma * entry.x
@@ -234,7 +299,7 @@ class TestSingleModeSolution:
         # Force delta < 0 by handing the discriminant a strongly aligned
         # frequency vector on a weakly coupled pair of cells.
         sys_, basis = self._fabricated_negative_delta()
-        entry = discriminant(sys_, basis, 1)
+        entry = report_entry(sys_, basis, 1)
         assert entry.delta < 0
         sl = sys_.sigma * basis.eigenvalues[1]
         sx = sys_.sigma * entry.x
@@ -248,7 +313,7 @@ class TestSingleModeSolution:
 
     def test_tangent_validity_mask_cuts_past_singularity(self):
         sys_, basis = self._fabricated_negative_delta()
-        entry = discriminant(sys_, basis, 1)
+        entry = report_entry(sys_, basis, 1)
         root = np.sqrt(-entry.delta)
         sl = sys_.sigma * basis.eigenvalues[1]
         phi0 = np.arctan((2 * sys_.sigma * entry.x * 0.0 - sl) / root)
@@ -266,12 +331,12 @@ class TestSingleModeSolution:
         basis = spectral_basis(g)
         noise = rng.normal(0.0, 1.0, size=g.n)
         probe = OscillatorSystem(graph=g, omega=noise, sigma=1.0)
-        x1 = x_coupling(probe, basis, 1)
+        x1 = report_entry(probe, basis, 1).x
         assert abs(x1) > 1e-6
         omega = noise + np.sign(x1) * 3.0 * basis.vertex_vectors[:, 1]
         for sigma in (0.05, 0.1, 0.2, 0.4):
             sys_ = OscillatorSystem(graph=g, omega=omega, sigma=sigma)
-            if discriminant(sys_, basis, 1).delta < 0:
+            if report_entry(sys_, basis, 1).delta < 0:
                 return sys_, basis
         raise AssertionError("no sigma produced a negative discriminant")
 

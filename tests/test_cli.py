@@ -211,6 +211,13 @@ class TestPredict:
         assert main(["predict", "--graph", graph] + extra) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("sigma", ["0", "-1"])
+    def test_nonpositive_sigma_exits_2(self, tmp_path, capsys, sigma):
+        graph = make_path_graph(tmp_path)
+        assert main(["predict", "--graph", graph, "--omega", "[0.1, 0, -0.1]",
+                     "--sigma", sigma]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_fig6_system_reports_negative_delta(self, tmp_path, capsys):
         g, p, basis, system, r1, _ = build_fig6_system(seed=0)
         gpath = tmp_path / "g.json"
@@ -239,3 +246,27 @@ class TestExperimentCommand:
 
     def test_unknown_scenario_exits_2(self):
         assert main(["experiment", "fig9_unknown"]) == 2
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert main(["experiment", "phase_lag_ex2", "--seed", "-1", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["a", 2.5, True])
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, seeds):
+        cfg = write_json(tmp_path / "cfg.json", {"seeds": seeds})
+        assert main(["experiment", "sbm_limit", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seeds" in captured.err
+
+    def test_scenario_value_error_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"sigma": 0.0})
+        assert main(["experiment", "phase_lag_ex2", "--config", cfg]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_integer_accepted_for_number(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"sigma": 1})
+        assert main(["experiment", "phase_lag_ex2", "--config", cfg]) == 0
+        assert "phase_lag_ex2: PASS" in capsys.readouterr().out

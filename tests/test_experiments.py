@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from specsync import available_scenarios, fileio, run_scenario
+from specsync import available_scenarios, experiments, fileio, run_scenario
 from specsync.experiments import build_fig6_system
 
 
@@ -40,6 +40,27 @@ class TestRegistry:
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ValueError, match="config keys"):
             run_scenario("basis_equivalence", config={"sytems": 1})
+
+    @pytest.fixture
+    def sbm_must_not_run(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the scenario ran")
+
+        monkeypatch.setitem(experiments._SCENARIOS, "sbm_limit", refuse)
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, True, "0", None])
+    def test_seed_must_be_nonnegative_integer(self, sbm_must_not_run, seed):
+        with pytest.raises(ValueError, match="seed"):
+            run_scenario("sbm_limit", seed=seed)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seeds", "a"), ("seeds", 2.5), ("seeds", True), ("seeds", None),
+         ("identity_tol", False), ("sizes", 100), ("sizes", {"a": 1})],
+    )
+    def test_config_value_must_keep_its_json_type(self, sbm_must_not_run, key, value):
+        with pytest.raises(ValueError, match=key):
+            run_scenario("sbm_limit", config={key: value})
 
 
 class TestDeterminism:
