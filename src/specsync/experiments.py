@@ -96,6 +96,14 @@ def _json_type(value) -> str:
                 type(value).__name__)
 
 
+def _fits(default, value) -> bool:
+    """Whether value has the JSON type of default; array elements must fit its elements."""
+    want, got = _json_type(default), _json_type(value)
+    if got != want and (want, got) != ("number", "integer"):
+        return False
+    return want != "array" or not default or all(any(_fits(d, v) for d in default) for v in value)
+
+
 def _spearman(x, y) -> float:
     rx = np.argsort(np.argsort(x))
     ry = np.argsort(np.argsort(y))
@@ -664,7 +672,7 @@ def _scn_phase_lag_ex2(config, seed):
 
 def _sbm_concentration(g, p, probabilities):
     """max |E_iq| / (p_pq |C_q|) over vertices i and cells q != cell(i)."""
-    err = equitable_error_matrix(laplacian(g), p)
+    err = equitable_error_matrix(g, p)
     pr = np.asarray(probabilities)
     sizes = p.sizes()
     stat = 0.0
@@ -695,18 +703,18 @@ def _scn_sbm_limit(config, seed):
 
     # Noise-form identity on a small instance: with L = expected Laplacian
     # (an exact AEP) and N the sampling deviation, E collapses to the
-    # quotient form of N alone.
+    # quotient form of N alone. The right side is formed densely, so the
+    # check compares two independent computations of E.
     cfg = SbmConfig(block_sizes=(sizes[0] // 2, sizes[0] - sizes[0] // 2), probabilities=pr, seed=seed)
     g, p = sample_sbm(cfg)
-    lap = laplacian(g)
     expected_adj = np.asarray(pr)[p.assignment[:, None], p.assignment[None, :]].copy()
     np.fill_diagonal(expected_adj, 0.0)
     expected_lap = np.diag(expected_adj.sum(axis=1)) - expected_adj
-    noise = lap - expected_lap
+    noise = laplacian(g) - expected_lap
     pmat = indicator_matrix(p)
     identity_dev = float(
         np.abs(
-            equitable_error_matrix(lap, p)
+            equitable_error_matrix(g, p)
             - (pmat @ quotient_matrix(noise, p) - noise @ pmat)
         ).max()
     )
@@ -754,12 +762,13 @@ def run_scenario(
     """Run one named scenario and report its assertions.
 
     config entries override the scenario's shipped defaults and must have
-    their JSON types (an integer may stand for a number); seed must be a
-    nonnegative integer. Both are checked before the scenario runs, and a
-    scenario raises ValueError only for a bad config. When out_dir is
-    given, the scenario's CSV files are written under out_dir/<name>/
-    together with a result.json rendering of the returned ScenarioResult;
-    without it nothing is written and no file writer runs.
+    their JSON types, element by element in arrays (an integer may stand for
+    a number); seed must be a nonnegative integer. Both are checked before
+    the scenario runs, and a scenario raises ValueError only for a bad
+    config. When out_dir is given, the scenario's CSV files are written
+    under out_dir/<name>/ together with a result.json rendering of the
+    returned ScenarioResult; without it nothing is written and no file
+    writer runs.
     """
     if name not in _SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; choose from {available_scenarios()}")
@@ -771,9 +780,9 @@ def run_scenario(
         if unknown:
             raise ValueError(f"unknown config keys for {name}: {sorted(unknown)}")
         for key, value in config.items():
-            want, got = _json_type(merged[key]), _json_type(value)
-            if got != want and (want, got) != ("number", "integer"):
-                raise ValueError(f"config key {key!r} of {name} must be a JSON {want}, got {got}")
+            if not _fits(merged[key], value):
+                raise ValueError(f"config key {key!r} of {name} must have the JSON types "
+                                 f"of {merged[key]!r}, got {value!r}")
         merged.update(config)
     assertions, metrics, files = _SCENARIOS[name](merged, seed)
     artifacts = ()

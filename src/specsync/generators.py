@@ -320,9 +320,8 @@ def sample_sbm(config: SbmConfig) -> tuple[WeightedGraph, VertexPartition]:
     n = int(sizes.sum())
     assignment = np.repeat(np.arange(sizes.size), sizes)
     pr = np.asarray(config.probabilities, dtype=float)
-    pair_prob = pr[assignment[:, None], assignment[None, :]]
     iu, ju = np.triu_indices(n, k=1)
-    probs = pair_prob[iu, ju]
+    probs = pr[assignment[iu], assignment[ju]]
     for _ in range(config.max_retries):
         mask = rng.random(probs.size) < probs
         edges = np.column_stack([iu[mask], ju[mask], np.ones(int(mask.sum()))])

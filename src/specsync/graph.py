@@ -5,6 +5,10 @@ A, degree diagonal D, Laplacian L = D - A, partition indicator P, and
 quotient matrices (P^T P)^{-1} P^T M P. Edge-space quantities index the
 canonical edge arrays (edge_i, edge_j) directly; no incidence matrix is
 formed.
+
+Construction sorts the keys i*n + j once, stably (linear time on the
+canonical input every generator and loader emits), and checks connectivity
+on a CSR adjacency from one O(m log m) sort of the 2m directed keys.
 """
 from __future__ import annotations
 
@@ -25,14 +29,8 @@ __all__ = [
 
 def _bfs_connected(n: int, edge_i: np.ndarray, edge_j: np.ndarray) -> bool:
     """Breadth-first reachability from vertex 0 over an undirected edge list."""
-    if n == 1:
-        return True
-    if edge_i.size == 0:
-        return False
-    src = np.concatenate([edge_i, edge_j])
-    dst = np.concatenate([edge_j, edge_i])
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
+    keys = np.sort(np.concatenate([edge_i * n + edge_j, edge_j * n + edge_i]))
+    src, dst = np.divmod(keys, n)
     indptr = np.searchsorted(src, np.arange(n + 1))
     visited = np.zeros(n, dtype=bool)
     visited[0] = True
@@ -71,13 +69,10 @@ class WeightedGraph:
             arr = arr.reshape(0, 3)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ValueError("edges must be a sequence of (i, j, w) triples")
-        ii = arr[:, 0]
-        jj = arr[:, 1]
-        ww = arr[:, 2]
+        ii, jj, ww = arr.T
         if not np.all(ii == np.floor(ii)) or not np.all(jj == np.floor(jj)):
             raise ValueError("edge endpoints must be integers")
-        ei = ii.astype(np.int64)
-        ej = jj.astype(np.int64)
+        ei, ej = ii.astype(np.int64), jj.astype(np.int64)
         if np.any(ei < 0) or np.any(ej < 0) or np.any(ei >= n) or np.any(ej >= n):
             raise ValueError("edge endpoint out of range")
         if np.any(ei == ej):
@@ -85,24 +80,16 @@ class WeightedGraph:
         if not np.all(np.isfinite(ww)) or np.any(ww <= 0.0):
             raise ValueError("edge weights must be finite and strictly positive")
 
-        lo = np.minimum(ei, ej)
-        hi = np.maximum(ei, ej)
-        order = np.lexsort((hi, lo))
-        lo, hi, ww = lo[order], hi[order], ww[order]
-
-        if lo.size:
-            key = lo * n + hi
-            dup = np.zeros(lo.size, dtype=bool)
-            dup[1:] = key[1:] == key[:-1]
-            if dup.any():
-                warnings.warn(
-                    "duplicate edges merged by summing weights", stacklevel=2
-                )
-                uniq, inverse = np.unique(key, return_inverse=True)
-                merged_w = np.bincount(inverse, weights=ww)
-                lo = (uniq // n).astype(np.int64)
-                hi = (uniq % n).astype(np.int64)
-                ww = merged_w
+        key = np.minimum(ei, ej) * n + np.maximum(ei, ej)
+        order = np.argsort(key, kind="stable")
+        key, ww = key[order], ww[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        if not first.all():
+            warnings.warn("duplicate edges merged by summing weights", stacklevel=2)
+            ww = np.bincount(np.cumsum(first) - 1, weights=ww)
+            key = key[first]
+        lo, hi = np.divmod(key, n)
 
         if not _bfs_connected(n, lo, hi):
             raise ValueError("graph is not connected")

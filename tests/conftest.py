@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from specsync import WeightedGraph, VertexPartition
+from specsync import WeightedGraph, VertexPartition, indicator_matrix, quotient_matrix
 
 
 def random_connected_graph(rng, n_max=20, n_min=3, p=0.5, w_range=(0.5, 1.5)):
@@ -31,6 +31,31 @@ def random_partition(rng, n, k=None):
         counts = np.bincount(assignment, minlength=k)
         if np.all(counts > 0) and np.any(counts >= 2):
             return VertexPartition(assignment, k)
+
+
+def oracle_canonical_edges(n, edges):
+    """Canonical (edge_i, edge_j, edge_w) by a lexsort on (i, j) and a merge
+    of duplicate pairs through np.unique; test-only reference for the
+    one-key sort of WeightedGraph."""
+    arr = np.asarray(edges, dtype=float).reshape(-1, 3)
+    ei, ej = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
+    lo, hi = np.minimum(ei, ej), np.maximum(ei, ej)
+    order = np.lexsort((hi, lo))
+    lo, hi, ww = lo[order], hi[order], arr[order, 2]
+    key = lo * n + hi
+    if lo.size and np.any(key[1:] == key[:-1]):
+        uniq, inverse = np.unique(key, return_inverse=True)
+        ww = np.bincount(inverse, weights=ww)
+        lo = (uniq // n).astype(np.int64)
+        hi = (uniq % n).astype(np.int64)
+    return lo, hi, ww
+
+
+def oracle_equitable_error_matrix(mat, partition):
+    """Dense E = P M^pi - M P for a square n x n matrix M; test-only
+    reference for the edge-list form of equitable_error_matrix."""
+    pmat = indicator_matrix(partition)
+    return pmat @ quotient_matrix(mat, partition) - mat @ pmat
 
 
 def oracle_incidence(g):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specsync.cli import main
-from specsync import fileio
+from specsync import experiments, fileio
 from specsync.experiments import build_fig6_system
 
 
@@ -260,6 +260,17 @@ class TestExperimentCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "seeds" in captured.err
+
+    def test_mistyped_array_element_exits_2(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the scenario ran")
+
+        monkeypatch.setitem(experiments._SCENARIOS, "sbm_limit", refuse)
+        cfg = write_json(tmp_path / "cfg.json", {"sizes": ["a"]})
+        assert main(["experiment", "sbm_limit", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sizes" in captured.err
 
     def test_scenario_value_error_exits_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {"sigma": 0.0})

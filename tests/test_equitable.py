@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import specsync.graph
 from specsync import (
+    WeightedGraph,
     VertexPartition,
     PlantedAepConfig,
     adjacency,
@@ -21,7 +23,7 @@ from specsync import (
     SbmConfig,
 )
 
-from conftest import random_connected_graph, random_partition
+from conftest import oracle_equitable_error_matrix, random_connected_graph, random_partition
 
 
 def combinatorial_max_deviation(g, p):
@@ -100,6 +102,49 @@ class TestCheckAep:
         assert failures == 100
 
 
+class TestEdgeForm:
+    def test_matches_dense_oracle_across_weight_scales(self):
+        rng = np.random.default_rng(25)
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            for _ in range(10):
+                g = random_connected_graph(rng, n_max=25, p=0.4)
+                g = WeightedGraph(g.n, np.column_stack([g.edge_i, g.edge_j, scale * g.edge_w]))
+                p = random_partition(rng, g.n)
+                got = equitable_error_matrix(g, p)
+                want = oracle_equitable_error_matrix(laplacian(g), p)
+                assert got.shape == (g.n, p.k)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_rejects_mismatched_partition(self, path3):
+        with pytest.raises(ValueError, match="partition does not match"):
+            equitable_error_matrix(path3, VertexPartition([0, 1]))
+
+    def test_no_dense_operator_is_built(self, monkeypatch):
+        g, p = planted_aep(
+            PlantedAepConfig(
+                cell_sizes=(4, 5),
+                quotient_weights=((0.0, 2.5), (2.0, 0.0)),
+                seed=4,
+            )
+        )
+        g = perturb(g, p, 0.1, seed=5)
+        basis = spectral_basis(g)
+        vals, vecs = eigendecompose_general(quotient_matrix(laplacian(g), p))
+
+        def refuse(*args):
+            raise AssertionError("an n x n adjacency was built")
+
+        monkeypatch.setattr(specsync.graph, "adjacency", refuse)
+        with pytest.raises(AssertionError):
+            laplacian(g)
+        assert not check_aep(g, p).is_aep
+        report = equitable_error(g, p)
+        assert np.allclose(report.per_mode[1].eigenvalue, vals[1], atol=1e-12)
+        assert qep_score(g, p) > 0
+        bound = approximation_bound(g, p, basis, (vals[1], vecs[:, 1]), gamma=0.5)
+        assert bound.actual_error <= bound.bound
+
+
 class TestEquitableError:
     def test_path_split(self, path3):
         report = equitable_error(path3, VertexPartition([0, 1, 1]))
@@ -139,14 +184,17 @@ class TestEquitableError:
         assert norms[-1] < 1e-12
 
     def test_bound_chain(self):
+        # eps <= sigma_1(E) ||v|| <= sqrt(||E||_1 ||E||_inf) ||v|| (Schur test).
         rng = np.random.default_rng(23)
         for _ in range(30):
             g = random_connected_graph(rng, n_max=20)
             p = random_partition(rng, g.n)
             report = equitable_error(g, p)
+            abs_e = np.abs(report.E)
+            schur = np.sqrt(abs_e.sum(axis=0).max() * abs_e.sum(axis=1).max())
             for m in report.per_mode:
                 assert m.epsilon_norm <= m.bound_sigma * (1 + 1e-12) + 1e-15
-                assert m.bound_sigma <= m.bound_rowsum * (1 + 1e-12) + 1e-15
+                assert m.bound_sigma <= schur * np.linalg.norm(m.vector) * (1 + 1e-12) + 1e-15
 
     def test_sigma_bound_holds_on_sbm_samples(self):
         # ||E v|| <= sigma_1(E) ||v|| is a true bound; the row-sum figure is
@@ -173,11 +221,9 @@ class TestEquitableError:
                 seed=3,
             )
         )
-        lap = laplacian(g)
         noisy = perturb(g, p, 0.2, seed=11)
-        lap_noisy = laplacian(noisy)
-        nmat = lap_noisy - lap
-        err = equitable_error_matrix(lap_noisy, p)
+        nmat = laplacian(noisy) - laplacian(g)
+        err = equitable_error_matrix(noisy, p)
         pmat = indicator_matrix(p)
         identity = pmat @ quotient_matrix(nmat, p) - nmat @ pmat
         assert np.abs(err - identity).max() < 1e-10

@@ -56,11 +56,24 @@ class TestRegistry:
     @pytest.mark.parametrize(
         "key, value",
         [("seeds", "a"), ("seeds", 2.5), ("seeds", True), ("seeds", None),
-         ("identity_tol", False), ("sizes", 100), ("sizes", {"a": 1})],
+         ("identity_tol", False), ("sizes", 100), ("sizes", {"a": 1}),
+         ("sizes", ["a"]), ("sizes", [100, 2.5]), ("sizes", [[100]]), ("sizes", [True]),
+         ("probabilities", [0.5, 0.1]), ("probabilities", [[0.5, "x"], [0.1, 0.2]])],
     )
     def test_config_value_must_keep_its_json_type(self, sbm_must_not_run, key, value):
         with pytest.raises(ValueError, match=key):
             run_scenario("sbm_limit", config={key: value})
+
+    def test_integer_elements_accepted_for_numbers(self, monkeypatch):
+        seen = {}
+
+        def record(config, seed):
+            seen.update(config)
+            return [], {}, {}
+
+        monkeypatch.setitem(experiments._SCENARIOS, "sbm_limit", record)
+        assert run_scenario("sbm_limit", config={"probabilities": [[1, 0.5], [0.5, 1]]}).passed
+        assert seen["probabilities"] == [[1, 0.5], [0.5, 1]]
 
 
 class TestDeterminism:

@@ -13,6 +13,7 @@ from specsync import (
 from specsync.graph import _bfs_connected
 
 from conftest import (
+    oracle_canonical_edges,
     oracle_down_edge_laplacian,
     oracle_incidence,
     random_connected_graph,
@@ -54,6 +55,53 @@ class TestWeightedGraphValidation:
             g.n = 5
         with pytest.raises(ValueError):
             g.edge_w[0] = 2.0
+
+
+class TestCanonicalBuild:
+    """The one-key sort gives the lexsort-and-merge arrays byte for byte."""
+
+    @staticmethod
+    def _random_edges(seed, n=200, density=0.3):
+        rng = np.random.default_rng(seed)
+        iu, ju = np.triu_indices(n, k=1)
+        keep = rng.random(iu.size) < density
+        w = rng.uniform(0.5, 1.5, int(keep.sum()))
+        return rng, np.column_stack([iu[keep], ju[keep], w])
+
+    @staticmethod
+    def _assert_matches_oracle(n, edges):
+        g = WeightedGraph(n, edges)
+        for got, want in zip((g.edge_i, g.edge_j, g.edge_w), oracle_canonical_edges(n, edges)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_canonical_input(self):
+        _, edges = self._random_edges(0)
+        self._assert_matches_oracle(200, edges)
+
+    def test_shuffled_input(self):
+        rng, edges = self._random_edges(1)
+        self._assert_matches_oracle(200, edges[rng.permutation(len(edges))])
+
+    def test_swapped_endpoints(self):
+        rng, edges = self._random_edges(2)
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip, :2] = edges[flip, 1::-1]
+        self._assert_matches_oracle(200, edges[rng.permutation(len(edges))])
+
+    def test_duplicates_merge_in_input_order(self):
+        # Pairs given up to three times, with weights whose sum depends on
+        # the order of addition.
+        rng, edges = self._random_edges(3, n=60)
+        extra = edges[rng.random(len(edges)) < 0.2].copy()
+        extra[:, :2] = extra[:, 1::-1]
+        extra[:, 2] = 0.1
+        third = extra[::2].copy()
+        third[:, 2] = 0.7
+        edges = np.vstack([edges, extra, third])
+        edges = edges[rng.permutation(len(edges))]
+        with pytest.warns(UserWarning, match="merged"):
+            self._assert_matches_oracle(60, edges)
 
 
 class TestPartitionValidation:
@@ -191,12 +239,24 @@ class TestQuotient:
             assert np.abs(q.sum(axis=1)).max() < 1e-12
 
 
+def scipy_connected(n, ei, ej):
+    """Oracle: one component by scipy's connected_components."""
+    pytest.importorskip("scipy")
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    adj = coo_matrix((np.ones(ei.size), (ei, ej)), shape=(n, n))
+    ncomp, _ = connected_components(adj, directed=False)
+    return ncomp == 1
+
+
+def _path(n):
+    ei = np.arange(n - 1, dtype=np.int64)
+    return ei, ei + 1
+
+
 class TestConnectivityCheck:
     def test_agrees_with_independent_component_count(self):
-        # Oracle: scipy's connected_components on random edge subsets.
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import connected_components
-
         rng = np.random.default_rng(6)
         for _ in range(50):
             n = int(rng.integers(2, 15))
@@ -204,10 +264,35 @@ class TestConnectivityCheck:
             iu, ju = np.triu_indices(n, k=1)
             keep = mask[iu, ju]
             ei, ej = iu[keep].astype(np.int64), ju[keep].astype(np.int64)
-            ours = _bfs_connected(n, ei, ej)
-            adj = coo_matrix((np.ones(ei.size), (ei, ej)), shape=(n, n))
-            ncomp, _ = connected_components(adj, directed=False)
-            assert ours == (ncomp == 1)
+            assert _bfs_connected(n, ei, ej) == scipy_connected(n, ei, ej)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["path", "reversed_path", "broken_path", "star", "star_at_last",
+         "two_components", "isolated_last", "single_vertex"],
+    )
+    def test_structured_graphs(self, case):
+        n = 2000
+        ei, ej = _path(n)
+        if case == "reversed_path":
+            ei, ej = ej[::-1].copy(), ei[::-1].copy()
+        elif case == "broken_path":
+            ei, ej = np.delete(ei, n // 2), np.delete(ej, n // 2)
+        elif case == "star":
+            ei, ej = np.zeros(n - 1, dtype=np.int64), np.arange(1, n, dtype=np.int64)
+        elif case == "star_at_last":
+            ei, ej = np.arange(n - 1, dtype=np.int64), np.full(n - 1, n - 1, dtype=np.int64)
+        elif case == "two_components":
+            # Two 40-cliques.
+            iu, ju = np.triu_indices(40, k=1)
+            n, ei, ej = 80, np.concatenate([iu, iu + 40]), np.concatenate([ju, ju + 40])
+        elif case == "isolated_last":
+            ei, ej = _path(n - 1)
+        elif case == "single_vertex":
+            n, ei, ej = 1, ei[:0], ej[:0]
+        expected = case not in ("broken_path", "two_components", "isolated_last")
+        assert scipy_connected(n, ei, ej) == expected
+        assert _bfs_connected(n, ei, ej) == expected
 
 
 class TestDegrees:
