@@ -300,13 +300,12 @@ def fit_decay_rates(
     t_start: float,
     t_end: float,
     amp_floor: float = 1e-12,
-    min_samples: int = 5,
 ) -> np.ndarray:
     """Least-squares decay rate of log |alpha_r(t)| per mode over a window.
 
     In the linearized regime with no forcing, |alpha_r| decays at
     sigma lambda_r. Returns one rate per mode (NaN for mode 0, for modes
-    with fewer than min_samples usable points, or when any sampled value in
+    with fewer than 5 usable points, or when any sampled value in
     the window falls below amp_floor).
     """
     times = sim.times
@@ -314,7 +313,7 @@ def fit_decay_rates(
     rates = np.full(sim.n, np.nan)
     for r in range(1, sim.n):
         vals = np.abs(sim.coeffs[window, r])
-        if vals.size < min_samples or np.any(vals < amp_floor):
+        if vals.size < 5 or np.any(vals < amp_floor):
             continue
         slope = np.polyfit(times[window], np.log(vals), 1)[0]
         rates[r] = -slope

@@ -1,15 +1,24 @@
 """Command-line interface.
 
 Subcommands: generate (planted-aep | nested-aep | sbm), analyze, simulate,
-predict, and experiment. All outputs are deterministic given --seed; exit
-codes are 0 on success, 1 for runtime failures such as integration blow-up,
-and 2 for usage or configuration errors.
+predict, and experiment. The CLI is a thin shell over the library: a
+generator config is passed through as the generator's parameters, reports
+are the library's result dataclasses rendered as JSON, and input values are
+checked by the model layer (only --mode and --rezero are checked here).
+
+main() is the one error boundary. Exit codes are 0 on success, 1 for a
+runtime failure (RuntimeError: an integration blow-up, a generator out of
+retries), and 2 for a usage or configuration error (ValueError, TypeError,
+KeyError or OSError: a bad value, a malformed or unreadable input file, an
+unwritable output path). All outputs are deterministic given --seed.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +26,6 @@ import numpy as np
 from . import fileio
 from .analysis import asymptotic_coefficients, discriminant_report
 from .dynamics import (
-    BlowUpError,
     OscillatorSystem,
     decompose_trajectory,
     integrate_coefficient,
@@ -32,8 +40,22 @@ from .graph import laplacian
 from .spectral import decompose, eigendecompose, spectral_basis
 
 
-class CliError(Exception):
-    """Usage or configuration problem; exits with code 2."""
+def _load(load, path, what: str):
+    """load(path), with any failure re-raised as a ValueError that names
+    the argument and the path (or inline value) it was given."""
+    try:
+        return load(path)
+    except Exception as exc:  # input boundary: every way a file can be bad
+        raise ValueError(f"{what} {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _read_json(path):
+    return json.loads(Path(path).read_text())
+
+
+def _record(obj, *drop: str) -> dict:
+    """A result dataclass as a JSON-ready dict without the named fields."""
+    return {key: value for key, value in asdict(obj).items() if key not in drop}
 
 
 def _out_dir(args) -> Path:
@@ -42,86 +64,23 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_json(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise CliError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"invalid JSON in {path}: {exc}") from exc
-
-
-def _load_graph(path):
-    try:
-        return fileio.load_graph(path)
-    except FileNotFoundError as exc:
-        raise CliError(f"graph file not found: {path}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise CliError(f"invalid graph file {path}: {exc}") from exc
-
-
-def _load_partition(path):
-    try:
-        return fileio.load_partition(path)
-    except FileNotFoundError as exc:
-        raise CliError(f"partition file not found: {path}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise CliError(f"invalid partition file {path}: {exc}") from exc
-
-
-def _vector(spec: str, expected_len: int, what: str) -> np.ndarray:
-    try:
-        return fileio.load_vector(spec, expected_len)
-    except FileNotFoundError as exc:
-        raise CliError(f"{what} file not found: {spec}") from exc
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise CliError(f"invalid {what}: {exc}") from exc
-
-
-def _cmd_generate(args) -> int:
-    config = _load_json(args.config)
-    try:
-        if args.kind == "planted-aep":
-            cfg = PlantedAepConfig(
-                cell_sizes=tuple(config["cell_sizes"]),
-                quotient_weights=tuple(map(tuple, config["quotient_weights"])),
-                intra_density=config.get("intra_density", 0.5),
-                intra_weight_range=tuple(config.get("intra_weight_range", (0.5, 1.5))),
-                seed=args.seed,
-            )
-            graph, partition = planted_aep(cfg)
-            partitions = [partition]
-        elif args.kind == "nested-aep":
-            graph, partitions = nested_aep(
-                levels=tuple(config["levels"]),
-                leaf_size=config["leaf_size"],
-                level_weights=tuple(config["level_weights"]),
-                leaf_weight_range=tuple(config.get("leaf_weight_range", (1.0, 1.4))),
-                leaf_density=config.get("leaf_density", 1.0),
-                jitter=config.get("jitter", 0.05),
-                seed=args.seed,
-            )
-        else:  # sbm
-            cfg = SbmConfig(
-                block_sizes=tuple(config["block_sizes"]),
-                probabilities=tuple(map(tuple, config["probabilities"])),
-                seed=args.seed,
-            )
-            graph, partition = sample_sbm(cfg)
-            partitions = [partition]
-    except KeyError as exc:
-        raise CliError(f"config missing key {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"invalid generator config: {exc}") from exc
-    except RuntimeError as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return 1
-
+def _cmd_generate(args) -> None:
+    config = _load(_read_json, args.config, "--config")
+    if not isinstance(config, dict):
+        raise TypeError(f"--config {args.config}: expected a JSON object")
+    reserved = sorted({"seed", "max_retries"} & config.keys())
+    if reserved:  # --seed sets the seed; max_retries stays at the library default
+        raise ValueError(f"--config {args.config}: {', '.join(reserved)} cannot be set here")
+    if args.kind == "nested-aep":
+        graph, partitions = nested_aep(**config, seed=args.seed)
+    elif args.kind == "planted-aep":
+        graph, partition = planted_aep(PlantedAepConfig(**config, seed=args.seed))
+        partitions = [partition]
+    else:  # sbm
+        graph, partition = sample_sbm(SbmConfig(**config, seed=args.seed))
+        partitions = [partition]
     if args.perturb is not None:
-        try:
-            graph = perturb(graph, partitions[-1], args.perturb, seed=args.seed)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        graph = perturb(graph, partitions[-1], args.perturb, seed=args.seed)
 
     out = _out_dir(args)
     fileio.save_graph(graph, out / "graph.json")
@@ -135,24 +94,14 @@ def _cmd_generate(args) -> int:
             fileio.save_partition(part, out / name)
             written.append(name)
     print(f"wrote {', '.join(written)} to {out}")
-    return 0
 
 
-def _cmd_analyze(args) -> int:
-    graph = _load_graph(args.graph)
-    partition = _load_partition(args.partition)
-    if partition.n != graph.n:
-        raise CliError("partition length does not match graph size")
+def _cmd_analyze(args) -> None:
+    graph = _load(fileio.load_graph, args.graph, "--graph")
+    partition = _load(fileio.load_partition, args.partition, "--partition")
     err = equitable_error(graph, partition)
     basis = None if args.gamma is None else eigendecompose(laplacian(graph))
-    try:  # the model layer rejects a bad --tol or --gamma
-        aep = check_aep(graph, partition, tol=args.tol)
-        bounds = None if basis is None else [
-            approximation_bound(graph, partition, basis, (m.eigenvalue, m.vector), args.gamma)
-            for m in err.per_mode
-        ]
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    aep = check_aep(graph, partition, tol=args.tol)
     report = {
         "n": graph.n,
         "k": partition.k,
@@ -162,31 +111,18 @@ def _cmd_analyze(args) -> int:
         "sigma1": err.sigma1,
         "max_row_sum": err.max_row_sum,
         "qep_score": qep_score(graph, partition),
-        "equitable_error": [[float(x) for x in row] for row in err.E],
-        "modes": [
-            {
-                "eigenvalue": m.eigenvalue,
-                "epsilon_norm": m.epsilon_norm,
-                "bound_sigma": m.bound_sigma,
-                "bound_rowsum": m.bound_rowsum,
-            }
-            for m in err.per_mode
-        ],
+        "equitable_error": err.E.tolist(),
+        "modes": [_record(m, "vector") for m in err.per_mode],
     }
-    if bounds is not None:
+    if basis is not None:
         report["approximation_bounds"] = [
-            {
-                "eigenvalue": ab.eigenvalue,
-                "gamma": ab.gamma,
-                "retained": list(ab.retained),
-                "delta": ab.delta,
-                "actual_error": ab.actual_error,
-                "bound": ab.bound,
-            }
-            for ab in bounds
+            _record(
+                approximation_bound(graph, partition, basis, (m.eigenvalue, m.vector), args.gamma),
+                "truncated",
+            )
+            for m in err.per_mode
         ]
     _emit_report(report, args)
-    return 0
 
 
 def _emit_report(report: dict, args) -> None:
@@ -198,69 +134,60 @@ def _emit_report(report: dict, args) -> None:
         print(text, end="")
 
 
-def _system(graph, omega, sigma, beta) -> OscillatorSystem:
-    try:
-        return OscillatorSystem(graph=graph, omega=omega, sigma=sigma, beta=beta)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _system(graph, args) -> OscillatorSystem:
+    """The oscillators of --omega, --beta and --sigma on graph."""
+    omega = _load(partial(fileio.load_vector, expected_len=graph.n), args.omega, "--omega")
+    beta = (
+        _load(partial(fileio.load_vector, expected_len=graph.m), args.beta, "--beta")
+        if args.beta else None
+    )
+    return OscillatorSystem(graph=graph, omega=omega, sigma=args.sigma, beta=beta)
 
 
-def _cmd_simulate(args) -> int:
-    graph = _load_graph(args.graph)
-    omega = _vector(args.omega, graph.n, "omega")
-    beta = _vector(args.beta, graph.m, "beta") if args.beta else None
+def _cmd_simulate(args) -> None:
+    graph = _load(fileio.load_graph, args.graph, "--graph")
+    system = _system(graph, args)
     theta0 = (
-        _vector(args.theta0, graph.n, "theta0") if args.theta0 else np.zeros(graph.n)
+        _load(partial(fileio.load_vector, expected_len=graph.n), args.theta0, "--theta0")
+        if args.theta0 else np.zeros(graph.n)
     )
     if args.rezero is not None and not np.isfinite(args.rezero):
-        raise CliError(f"--rezero must be a finite time, got {args.rezero}")
-    system = _system(graph, omega, args.sigma, beta)
+        raise ValueError(f"--rezero must be a finite time, got {args.rezero}")
     basis = spectral_basis(graph)
-    try:
-        if args.basis == "vertex":
-            traj = integrate_vertex(system, theta0, args.dt, args.steps)
-            ctraj = decompose_trajectory(traj, basis)
-        else:
-            ctraj = integrate_coefficient(
-                system, basis, decompose(theta0, basis), args.dt, args.steps
-            )
-            traj = reconstruct_trajectory(ctraj)
-    except ValueError as exc:  # dt, steps or theta0 rejected by the integrator
-        raise CliError(str(exc)) from exc
-    except BlowUpError as exc:
-        print(f"integration blew up: {exc}", file=sys.stderr)
-        return 1
+    if args.basis == "vertex":
+        traj = integrate_vertex(system, theta0, args.dt, args.steps)
+        ctraj = decompose_trajectory(traj, basis)
+    else:
+        ctraj = integrate_coefficient(
+            system, basis, decompose(theta0, basis), args.dt, args.steps
+        )
+        traj = reconstruct_trajectory(ctraj)
     if args.rezero is not None:
         idx = int(round((args.rezero - traj.t0) / traj.dt))
         if not 0 <= idx < traj.states.shape[0]:
-            raise CliError("--rezero time outside the trajectory")
+            raise ValueError("--rezero time outside the trajectory")
         traj = rezero(traj, idx)
         ctraj = decompose_trajectory(traj, basis)
     out = _out_dir(args)
     fileio.write_phase_csv(traj, out / "trajectory.csv")
     fileio.write_coefficient_csv(ctraj, out / "coefficients.csv")
     print(f"wrote trajectory.csv, coefficients.csv to {out}")
-    return 0
 
 
-def _cmd_predict(args) -> int:
-    graph = _load_graph(args.graph)
+def _cmd_predict(args) -> None:
+    graph = _load(fileio.load_graph, args.graph, "--graph")
+    # Mode 0 has no discriminant, and entries[-1] would pick the last mode.
     if args.mode is not None and not 1 <= args.mode < graph.n:
-        raise CliError(f"--mode must be in 1..{graph.n - 1}")
-    omega = _vector(args.omega, graph.n, "omega")
-    beta = _vector(args.beta, graph.m, "beta") if args.beta else None
-    system = _system(graph, omega, args.sigma, beta)
+        raise ValueError(f"--mode must be in 1..{graph.n - 1}")
+    system = _system(graph, args)
     basis = spectral_basis(graph)
-    try:  # the model layer rejects a nonpositive --sigma
-        pred = asymptotic_coefficients(system, basis)
-        entries = discriminant_report(system, basis)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    pred = asymptotic_coefficients(system, basis)
+    entries = discriminant_report(system, basis)
     if args.mode is not None:
         entries = [entries[args.mode - 1]]
     report = {
         "sigma": args.sigma,
-        "eigenvalues": [float(v) for v in basis.eigenvalues],
+        "eigenvalues": basis.eigenvalues.tolist(),
         "asymptotics": [
             {
                 "mode": r,
@@ -270,40 +197,21 @@ def _cmd_predict(args) -> int:
             }
             for r in range(1, graph.n)
         ],
-        "discriminants": [
-            {
-                "mode": e.mode,
-                "omega_r": e.omega_r,
-                "x": e.x,
-                "delta": e.delta,
-                "classification": e.classification,
-            }
-            for e in entries
-        ],
+        "discriminants": [{**asdict(e), "classification": e.classification} for e in entries],
     }
     _emit_report(report, args)
-    return 0
 
 
-def _cmd_experiment(args) -> int:
-    names = list(available_scenarios()) if args.name == "all" else [args.name]
+def _cmd_experiment(args) -> None:
+    names = available_scenarios() if args.name == "all" else [args.name]
+    config = _load(_read_json, args.config, "--config") if args.config else None
     for name in names:
-        if name not in available_scenarios():
-            raise CliError(
-                f"unknown scenario {name!r}; choose from {', '.join(available_scenarios())} or 'all'"
-            )
-    config = _load_json(args.config) if args.config else None
-    for name in names:
-        try:  # scenarios are pure functions of (config, seed)
-            result = run_scenario(name, config=config, seed=args.seed, out_dir=args.out_dir)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        result = run_scenario(name, config=config, seed=args.seed, out_dir=args.out_dir)
         status = "PASS" if result.passed else "FAIL"
         print(f"{result.name}: {status}")
         for assertion in result.assertions:
             mark = "ok" if assertion.passed else "FAIL"
             print(f"  [{mark}] {assertion.name}: {assertion.detail}")
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -371,13 +279,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as exc:
+        args.func(args)
+    except RuntimeError as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -224,9 +224,8 @@ def integrate_vertex(
     theta0: np.ndarray,
     dt: float,
     steps: int,
-    t0: float = 0.0,
 ) -> Trajectory:
-    """Integrate the vertex-form dynamics from theta0 over `steps` RK4 steps.
+    """Integrate the vertex-form dynamics from theta0 at t = 0 over `steps` RK4 steps.
 
     Phases are tracked unwrapped in R. With sigma-coupling switched off the
     integration is exact (RK4 reproduces linear-in-t flows), which the tests
@@ -239,7 +238,7 @@ def integrate_vertex(
     def rhs(theta):
         return omega - sigma * flow(theta)
 
-    return Trajectory(t0=t0, dt=float(dt), states=_rk4(rhs, theta0, dt, steps))
+    return Trajectory(t0=0.0, dt=float(dt), states=_rk4(rhs, theta0, dt, steps))
 
 
 def integrate_coefficient(
@@ -248,9 +247,8 @@ def integrate_coefficient(
     alpha0: np.ndarray,
     dt: float,
     steps: int,
-    t0: float = 0.0,
 ) -> CoefficientTrajectory:
-    """Integrate the coefficient-form dynamics from alpha0.
+    """Integrate the coefficient-form dynamics from alpha0 at t = 0.
 
     The basis must come from system.graph. Mode 0 is uncoupled and advances
     at sqrt(n) * mean(omega); an arbitrary alpha_0(0) intercept is carried
@@ -276,7 +274,7 @@ def integrate_coefficient(
         return omega_spec - sigma * coupling
 
     return CoefficientTrajectory(
-        t0=t0, dt=float(dt), coeffs=_rk4(rhs, alpha0, dt, steps), basis=basis
+        t0=0.0, dt=float(dt), coeffs=_rk4(rhs, alpha0, dt, steps), basis=basis
     )
 
 
@@ -303,10 +301,6 @@ def _wrap_pi(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _circular_mean(theta: np.ndarray) -> float:
-    return float(np.arctan2(np.sin(theta).mean(), np.cos(theta).mean()))
-
-
 def rezero(traj: Trajectory, at: int) -> Trajectory:
     """Return the suffix of a trajectory re-centered and wrapped mod 2 pi.
 
@@ -321,9 +315,8 @@ def rezero(traj: Trajectory, at: int) -> Trajectory:
         raise IndexError(f"sample index {at} out of range")
     at = at % count
     suffix = traj.states[at:]
-    centered = np.empty_like(suffix)
-    for s in range(suffix.shape[0]):
-        centered[s] = _wrap_pi(suffix[s] - _circular_mean(suffix[s]))
+    mean = np.arctan2(np.sin(suffix).mean(axis=1), np.cos(suffix).mean(axis=1))
+    centered = _wrap_pi(suffix - mean[:, None])
     return Trajectory(t0=traj.t0 + traj.dt * at, dt=traj.dt, states=centered)
 
 

@@ -68,7 +68,7 @@ class PlantedAepConfig:
             )
         if not (0.0 <= self.intra_density <= 1.0):
             raise ValueError("intra_density must be in [0, 1]")
-        lo, hi = self.intra_weight_range
+        lo, hi = (float(x) for x in self.intra_weight_range)
         if not 0.0 < lo <= hi:
             raise ValueError("intra_weight_range must be positive and ordered")
         # Positive cross weights must connect the quotient, else the graph
@@ -80,6 +80,7 @@ class PlantedAepConfig:
         object.__setattr__(
             self, "quotient_weights", tuple(tuple(row) for row in d.tolist())
         )
+        object.__setattr__(self, "intra_weight_range", (lo, hi))
 
 
 def _fit_cross_block(

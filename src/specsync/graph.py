@@ -34,6 +34,7 @@ def _bfs_connected(n: int, edge_i: np.ndarray, edge_j: np.ndarray) -> bool:
     indptr = np.searchsorted(src, np.arange(n + 1))
     visited = np.zeros(n, dtype=bool)
     visited[0] = True
+    slot = np.empty(n, dtype=np.int64)
     frontier = [0]
     while frontier:
         neigh = np.concatenate([dst[indptr[v]:indptr[v + 1]] for v in frontier])
@@ -41,7 +42,11 @@ def _bfs_connected(n: int, edge_i: np.ndarray, edge_j: np.ndarray) -> bool:
         if neigh.size == 0:
             break
         visited[neigh] = True
-        frontier = np.unique(neigh).tolist()
+        # Deduplicate without a sort: of the positions holding one id,
+        # exactly one is the position that slot[id] ends up holding.
+        pos = np.arange(neigh.size)
+        slot[neigh] = pos
+        frontier = neigh[slot[neigh] == pos].tolist()
     return bool(visited.all())
 
 

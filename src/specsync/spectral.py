@@ -31,13 +31,12 @@ def _fix_signs(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     Eigenvectors are only defined up to sign; pinning the sign makes
     decompositions and trajectories reproducible run to run.
     """
-    out = vectors.copy()
-    for c in range(out.shape[1]):
-        col = out[:, c]
-        nz = np.flatnonzero(np.abs(col) > tol * max(1.0, np.abs(col).max()))
-        if nz.size and col[nz[0]] < 0:
-            out[:, c] = -col
-    return out
+    if vectors.size == 0:  # argmax needs a row; an empty basis stays empty
+        return vectors.copy()
+    mag = np.abs(vectors)
+    above = mag > tol * np.maximum(1.0, mag.max(axis=0))
+    first = vectors[above.argmax(axis=0), np.arange(vectors.shape[1])]
+    return np.where(above.any(axis=0) & (first < 0), -vectors, vectors)
 
 
 @dataclass(frozen=True)
@@ -67,21 +66,21 @@ class SpectralBasis:
         return int(self.edge_vectors.shape[0])
 
 
-def eigendecompose(lap: np.ndarray, sym_tol: float = 1e-10) -> SpectralBasis:
+def eigendecompose(lap: np.ndarray) -> SpectralBasis:
     """Eigendecompose a symmetric (Laplacian) matrix into a SpectralBasis.
 
     Eigenvalues come out ascending and eigenvectors orthonormal with the
     first-nonzero-positive sign convention. The basis carries no edge
     vectors; spectral_basis attaches them from the graph's edge list.
 
-    Raises ValueError if the input is not symmetric within sym_tol;
+    Raises ValueError if the input is not symmetric within 1e-10;
     propagates numpy.linalg.LinAlgError if the iteration fails to converge.
     """
     lap = np.asarray(lap, dtype=float)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.abs(lap - lap.T).max(initial=0.0) > sym_tol:
-        raise ValueError(f"matrix is not symmetric within {sym_tol}")
+    if np.abs(lap - lap.T).max(initial=0.0) > 1e-10:
+        raise ValueError("matrix is not symmetric within 1e-10")
     eigenvalues, vectors = np.linalg.eigh(lap)
     return SpectralBasis(
         eigenvalues=eigenvalues, vertex_vectors=_fix_signs(vectors), edge_vectors=None

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specsync
 from specsync.cli import main
 from specsync import experiments, fileio
 from specsync.experiments import build_fig6_system
@@ -281,3 +286,127 @@ class TestExperimentCommand:
         cfg = write_json(tmp_path / "cfg.json", {"sigma": 1})
         assert main(["experiment", "phase_lag_ex2", "--config", cfg]) == 0
         assert "phase_lag_ex2: PASS" in capsys.readouterr().out
+
+
+class TestErrorBoundary:
+    """main() maps every usage error to exit 2 and every runtime failure to
+    exit 1, with nothing on stdout and no output left behind."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        return {
+            "graph": make_path_graph(tmp_path),
+            "partition": write_json(tmp_path / "p.json", {"assignment": [0, 1, 0]}),
+            "list_graph": write_json(tmp_path / "list.json", [[0, 1, 1.0], [1, 2, 1.0]]),
+            "string_cells": write_json(tmp_path / "s.json", {"assignment": ["a", "b", "a"]}),
+            "directory": str(tmp_path),
+            "a_file": write_json(tmp_path / "file.json", {}),
+            "missing_dir": str(tmp_path / "missing" / "x.json"),
+            "sbm": write_json(tmp_path / "sbm.json", SBM_CONFIG),
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--graph", "{list_graph}", "--partition", "{partition}"],
+            ["analyze", "--graph", "{graph}", "--partition", "{string_cells}"],
+            ["analyze", "--graph", "{directory}", "--partition", "{partition}"],
+            ["simulate", "--graph", "{graph}", "--omega", "{directory}", "--steps", "10"],
+            ["analyze", "--graph", "{graph}", "--partition", "{partition}",
+             "--out", "{missing_dir}"],
+            ["predict", "--graph", "{graph}", "--omega", "[0, 0, 0]", "--out", "{missing_dir}"],
+            ["generate", "sbm", "--config", "{sbm}", "--out-dir", "{a_file}"],
+            ["experiment", "phase_lag_ex2", "--out-dir", "{a_file}"],
+        ],
+        ids=["graph-json-list", "string-cells", "graph-dir", "omega-dir", "analyze-out",
+             "predict-out", "generate-out-dir", "experiment-out-dir"],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, files, argv):
+        out = tmp_path / "out"
+        argv = [arg.format(**files) for arg in argv]
+        if argv[0] == "simulate":
+            argv += ["--out-dir", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not out.exists()
+        assert not (tmp_path / "missing").exists()
+        assert (tmp_path / "file.json").read_text() == "{}"
+
+    def test_errors_name_the_argument_and_file(self, tmp_path, capsys):
+        bad = write_json(tmp_path / "list.json", [1, 2])
+        part = write_json(tmp_path / "p.json", {"assignment": [0, 1, 0]})
+        assert main(["analyze", "--graph", bad, "--partition", part]) == 2
+        err = capsys.readouterr().err
+        assert "--graph" in err and bad in err
+
+    @pytest.mark.parametrize(
+        "kind, config",
+        [("planted-aep", PLANTED_CONFIG), ("sbm", SBM_CONFIG),
+         ("nested-aep", {"levels": [2, 2], "leaf_size": 4, "level_weights": [0.01, 0.1]})],
+    )
+    @pytest.mark.parametrize("key", ["unknown_key", "seed", "max_retries"])
+    def test_generator_config_keys(self, tmp_path, capsys, kind, config, key):
+        cfg = write_json(tmp_path / "c.json", {**config, key: 3})
+        out = tmp_path / "out"
+        assert main(["generate", kind, "--config", cfg, "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
+        assert not out.exists()
+
+    def test_generator_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", [["block_sizes", [8, 8]]])
+        assert main(["generate", "sbm", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_simulate_blow_up_exits_1(self, tmp_path, capsys):
+        graph = make_path_graph(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--graph", graph, "--omega", "[1e308, 0, -1e308]",
+                     "--dt", "10", "--steps", "10", "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("simulate failed: non-finite state")
+        assert not out.exists()
+
+    def test_sbm_out_of_retries_exits_1(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "z.json",
+                         {"block_sizes": [3, 3], "probabilities": [[0.0, 0.0], [0.0, 0.0]]})
+        out = tmp_path / "out"
+        assert main(["generate", "sbm", "--config", cfg, "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("generate failed: ")
+        assert not out.exists()
+
+    def test_module_entry_point_prints_no_traceback(self, tmp_path):
+        bad = write_json(tmp_path / "list.json", [[0, 1, 1.0]])
+        part = write_json(tmp_path / "p.json", {"assignment": [0, 1]})
+        src = str(Path(specsync.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "specsync", "analyze", "--graph", bad, "--partition", part],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "--graph" in proc.stderr
+
+
+class TestReportFields:
+    def test_analyze_and_predict_keys(self, tmp_path, capsys):
+        graph = make_path_graph(tmp_path)
+        part = write_json(tmp_path / "p.json", {"assignment": [0, 1, 1]})
+        assert main(["analyze", "--graph", graph, "--partition", part, "--gamma", "0.5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report["modes"][0]) == ["eigenvalue", "epsilon_norm", "bound_sigma",
+                                            "bound_rowsum"]
+        assert list(report["approximation_bounds"][0]) == [
+            "eigenvalue", "gamma", "retained", "delta", "actual_error", "bound"]
+        assert main(["predict", "--graph", graph, "--omega", "[0.1, 0, -0.1]"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report["discriminants"][0]) == ["mode", "omega_r", "x", "delta",
+                                                    "classification"]

@@ -363,6 +363,19 @@ class TestRezero:
         assert out.t0 == 1.0
         assert out.states.shape == (3, 2)
 
+    def test_matches_per_sample_loop(self):
+        # Reference: each sample shifted by its own circular mean, one at a time.
+        from specsync.dynamics import _wrap_pi
+
+        rng = np.random.default_rng(41)
+        for n in (1, 3, 10, 101):
+            states = rng.uniform(-40.0, 40.0, size=(60, n))
+            expected = np.array([
+                _wrap_pi(row - np.arctan2(np.sin(row).mean(), np.cos(row).mean()))
+                for row in states[7:]
+            ])
+            assert np.array_equal(rezero(Trajectory_like(states), 7).states, expected)
+
 
 class TestClusterSpread:
     def test_equal_phases_spread_zero(self):

@@ -84,6 +84,17 @@ class TestPlantedAep:
         g, p = planted_aep(cfg)
         assert len(structural_indices(spectral_basis(g), p)) == 3
 
+    def test_config_normalises_json_lists(self):
+        cfg = PlantedAepConfig(
+            cell_sizes=[3, 4],
+            quotient_weights=[[0, 2], [1.5, 0]],
+            intra_weight_range=[1, 2],
+        )
+        assert cfg.cell_sizes == (3, 4)
+        assert cfg.quotient_weights == ((0.0, 2.0), (1.5, 0.0))
+        assert cfg.intra_weight_range == (1.0, 2.0)
+        assert all(type(x) is float for x in cfg.intra_weight_range)
+
     def test_deterministic(self):
         cfg = PlantedAepConfig(
             cell_sizes=(3, 4),

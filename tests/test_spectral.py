@@ -68,6 +68,30 @@ class TestEigendecompose:
             first = col[np.abs(col) > 1e-12][0]
             assert first > 0
 
+    def test_sign_fix_matches_column_loop(self):
+        # Reference: flip a column when its first above-tolerance entry is
+        # negative, one column at a time; zero and tiny entries included.
+        from specsync.spectral import _fix_signs
+
+        def column_loop(vectors, tol=1e-12):
+            out = vectors.copy()
+            for c in range(out.shape[1]):
+                col = out[:, c]
+                nz = np.flatnonzero(np.abs(col) > tol * max(1.0, np.abs(col).max()))
+                if nz.size and col[nz[0]] < 0:
+                    out[:, c] = -col
+            return out
+
+        rng = np.random.default_rng(29)
+        for n in (1, 2, 5, 40):
+            vectors = rng.standard_normal((n, n))
+            vectors[: n // 2, ::2] = 0.0
+            vectors[0, 1::3] = 1e-14
+            vectors[:, 0] = 0.0
+            vectors[:, -1] = -1e-14  # all below tolerance: left as is
+            assert np.array_equal(_fix_signs(vectors), column_loop(vectors))
+        assert _fix_signs(np.zeros((0, 0))).shape == (0, 0)
+
     def test_edge_vectors_equal_incidence_product(self):
         # The gathered rows V[i] - V[j] are the entries of B^T V, bit for bit.
         rng = np.random.default_rng(17)
