@@ -49,8 +49,11 @@ def _load(load, path, what: str):
         raise ValueError(f"{what} {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _read_json(path):
-    return json.loads(Path(path).read_text())
+def _read_config(path) -> dict:
+    config = json.loads(Path(path).read_text())
+    if not isinstance(config, dict):
+        raise TypeError(f"expected a JSON object, got {config!r}")
+    return config
 
 
 def _record(obj, *drop: str) -> dict:
@@ -65,9 +68,7 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_generate(args) -> None:
-    config = _load(_read_json, args.config, "--config")
-    if not isinstance(config, dict):
-        raise TypeError(f"--config {args.config}: expected a JSON object")
+    config = _load(_read_config, args.config, "--config")
     reserved = sorted({"seed", "max_retries"} & config.keys())
     if reserved:  # --seed sets the seed; max_retries stays at the library default
         raise ValueError(f"--config {args.config}: {', '.join(reserved)} cannot be set here")
@@ -204,7 +205,7 @@ def _cmd_predict(args) -> None:
 
 def _cmd_experiment(args) -> None:
     names = available_scenarios() if args.name == "all" else [args.name]
-    config = _load(_read_json, args.config, "--config") if args.config else None
+    config = _load(_read_config, args.config, "--config") if args.config else None
     for name in names:
         result = run_scenario(name, config=config, seed=args.seed, out_dir=args.out_dir)
         status = "PASS" if result.passed else "FAIL"

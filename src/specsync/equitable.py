@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, VertexPartition, degrees, indicator_matrix
+from .graph import WeightedGraph, VertexPartition, _cell_means, degrees
 from .spectral import SpectralBasis, eigendecompose_general
 
 __all__ = [
@@ -107,7 +107,7 @@ def _error_and_quotient(g: WeightedGraph, partition: VertexPartition):
               for a, b in ((g.edge_i, g.edge_j), (g.edge_j, g.edge_i))).reshape(n, k)
     lp = -out
     lp[np.arange(n), cell] += out.sum(axis=1)  # the degree
-    quotient = (indicator_matrix(partition).T @ lp) / partition.sizes()[:, None]
+    quotient = _cell_means(partition, lp)
     return quotient[cell] - lp, quotient
 
 

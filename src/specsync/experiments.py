@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import WeightedGraph, VertexPartition, indicator_matrix, laplacian, quotient_matrix
-from .spectral import eigendecompose, spectral_basis, structural_indices, decompose
+from .spectral import _degenerate_blocks, decompose, eigendecompose, spectral_basis, structural_indices
 from .equitable import approximation_bound, equitable_error, equitable_error_matrix, qep_score
 from .dynamics import (
     OscillatorSystem,
@@ -67,6 +67,9 @@ class Assertion:
     name: str
     passed: bool
     detail: str
+
+    def __post_init__(self):  # a numpy bool would not render in result.json
+        object.__setattr__(self, "passed", bool(self.passed))
 
 
 @dataclass(frozen=True)
@@ -201,11 +204,9 @@ def _scn_fig2(config, seed):
     spread = float(cluster_spread(traj, p, -1).max())
     err = np.abs(terminal[1:] - pred.alpha_inf[1:])
     small = np.abs(pred.alpha_inf[1:]) < 0.1
-    small_ok = bool(
-        np.all(
-            (err[small] <= config["match_rtol"] * np.abs(pred.alpha_inf[1:])[small])
-            | (err[small] <= 1e-6)
-        )
+    small_ok = np.all(
+        (err[small] <= config["match_rtol"] * np.abs(pred.alpha_inf[1:])[small])
+        | (err[small] <= 1e-6)
     )
     assertions = [
         Assertion(
@@ -308,10 +309,7 @@ def _scn_fig4(config, seed):
     first_ctraj = None
     # Skip decay-rate assertions for modes inside near-degenerate blocks.
     lam = basis.eigenvalues
-    gaps = np.diff(lam)
-    gaps_ok = np.ones(g.n, dtype=bool)
-    gaps_ok[1:-1] = (gaps[:-1] > 1e-6) & (gaps[1:] > 1e-6)
-    gaps_ok[-1] = gaps[-1] > 1e-6
+    lone = {int(b[0]) for b in _degenerate_blocks(lam, 1e-6) if b.size == 1}
     for s in range(config["seeds"]):
         rng = np.random.default_rng(seed + s)
         theta0 = rng.uniform(-config["theta0_scale"], config["theta0_scale"], g.n)
@@ -343,7 +341,7 @@ def _scn_fig4(config, seed):
             rates[r] = rates_late[r] if r in fine else rates_early[r]
         ok = True
         for r in range(1, g.n):
-            if np.isnan(rates[r]) or not gaps_ok[r]:
+            if np.isnan(rates[r]) or r not in lone:
                 continue
             rel = abs(rates[r] - sigma * lam[r]) / (sigma * lam[r])
             rate_rows.append((s, r, float(lam[r]), float(rates[r]), float(rel)))
@@ -535,7 +533,7 @@ def _scn_fig6(config, seed):
         ),
         Assertion(
             "tangent_tracks_simulation",
-            bool(rel_err <= config["track_rtol"] and window >= config["min_window_slips"] * slip_period),
+            rel_err <= config["track_rtol"] and window >= config["min_window_slips"] * slip_period,
             f"rel err {rel_err:.3f} over {window:.1f} time units (~{window / slip_period:.1f} slips)",
         ),
     ]
@@ -595,7 +593,7 @@ def _scn_phase_lag_ex1(config, seed):
     worst_change = float(per_mode_change.max()) if significant else np.inf
     err = np.abs(term1[1:] - pred1.alpha_inf[1:])
     big = np.abs(pred1.alpha_inf[1:]) > 1e-4
-    match_ok = bool(np.all(err[big] <= config["match_rtol"] * np.abs(pred1.alpha_inf[1:])[big]))
+    match_ok = np.all(err[big] <= config["match_rtol"] * np.abs(pred1.alpha_inf[1:])[big])
     # Structural limits ignore the intra-cluster lag entirely.
     omega_spec = basis.vertex_vectors.T @ omega
     plain = omega_spec[struct[1:]] / (sigma * basis.eigenvalues[struct[1:]])
@@ -615,7 +613,7 @@ def _scn_phase_lag_ex1(config, seed):
         ),
         Assertion(
             "structural_limits_lag_free",
-            bool(struct_err.max() <= config["match_rtol"]),
+            struct_err.max() <= config["match_rtol"],
             f"max structural deviation from omega/(lambda sigma) = {struct_err.max():.4f}",
         ),
     ]
@@ -664,7 +662,7 @@ def _scn_phase_lag_ex2(config, seed):
         ),
         Assertion(
             "simulated_equilibria_match",
-            bool(rel.max() <= config["match_rtol"]),
+            rel.max() <= config["match_rtol"],
             f"max rel err over {int(big.sum())} modes = {rel.max():.4f} (tol {config['match_rtol']})",
         ),
     ]
@@ -765,19 +763,22 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run one named scenario and report its assertions.
 
-    config entries override the scenario's shipped defaults and must have
-    their JSON types, element by element in arrays (an integer may stand for
-    a number); seed must be a nonnegative integer. Both are checked before
-    the scenario runs, and a scenario raises ValueError only for a bad
-    config. When out_dir is given, the scenario's CSV files are written
-    under out_dir/<name>/ together with a result.json rendering of the
-    returned ScenarioResult; without it nothing is written and no file
-    writer runs.
+    config is None or a dict whose entries override the scenario's shipped
+    defaults; each must have its default's JSON type, element by element in
+    arrays (an integer may stand for a number). seed must be a nonnegative
+    integer. Both are checked, and out_dir/<name>/ is created when out_dir
+    is given, before the scenario runs; a scenario raises ValueError only
+    for a bad config. The scenario's CSV files are then written there
+    together with a result.json rendering of the returned ScenarioResult,
+    which is rendered before any file is written. Without out_dir nothing
+    is written and no file writer runs.
     """
     if name not in _SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; choose from {available_scenarios()}")
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    if config is not None and not isinstance(config, dict):
+        raise ValueError(f"config must be a JSON object, got {_json_type(config)} {config!r}")
     merged = _load_default_config(name)
     if config:
         unknown = set(config) - set(merged)
@@ -788,14 +789,10 @@ def run_scenario(
                 raise ValueError(f"config key {key!r} of {name} must have the JSON types "
                                  f"of {merged[key]!r}, got {value!r}")
         merged.update(config)
-    assertions, metrics, files = _SCENARIOS[name](merged, seed)
-    artifacts = ()
-    if out_dir is not None:
-        out = Path(out_dir) / name
+    out = None if out_dir is None else Path(out_dir) / name
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        for file_name, write in files.items():
-            write(out / file_name)
-        artifacts = tuple(str(out / file_name) for file_name in files)
+    assertions, metrics, files = _SCENARIOS[name](merged, seed)
     result = ScenarioResult(
         name=name,
         seed=seed,
@@ -803,8 +800,11 @@ def run_scenario(
         passed=all(a.passed for a in assertions),
         assertions=tuple(assertions),
         metrics=metrics,
-        artifacts=artifacts,
+        artifacts=() if out is None else tuple(str(out / file_name) for file_name in files),
     )
-    if out_dir is not None:
-        (out / "result.json").write_text(json.dumps(asdict(result), indent=2) + "\n")
+    if out is not None:
+        text = json.dumps(asdict(result), indent=2) + "\n"
+        for file_name, write in files.items():
+            write(out / file_name)
+        (out / "result.json").write_text(text)
     return result

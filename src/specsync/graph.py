@@ -225,6 +225,12 @@ def indicator_matrix(p: VertexPartition) -> np.ndarray:
     return mat
 
 
+def _cell_means(p: VertexPartition, x: np.ndarray) -> np.ndarray:
+    """N^{-1} P^T x, row c the mean of x over cell c; gathered by
+    p.assignment it is the projection of x's columns onto col(P)."""
+    return (indicator_matrix(p).T @ x) / p.sizes()[:, None]
+
+
 def quotient_matrix(mat: np.ndarray, p: VertexPartition) -> np.ndarray:
     """Quotient (P^T P)^{-1} P^T M P of a square matrix over partition cells.
 
@@ -237,5 +243,7 @@ def quotient_matrix(mat: np.ndarray, p: VertexPartition) -> np.ndarray:
         raise ValueError("quotient_matrix expects a square matrix")
     if mat.shape[0] != p.n:
         raise ValueError("matrix size does not match partition")
+    # Dense on purpose, not _cell_means of the edge-list L P: sbm_limit's
+    # noise identity checks the edge-list E against this form.
     pmat = indicator_matrix(p)
     return (pmat.T @ mat @ pmat) / p.sizes()[:, None]

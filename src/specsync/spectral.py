@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, VertexPartition, indicator_matrix, laplacian
+from .graph import WeightedGraph, VertexPartition, _cell_means, laplacian
 
 __all__ = [
     "SpectralBasis",
@@ -25,7 +25,14 @@ __all__ = [
 ]
 
 
-def _fix_signs(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+# Absolute thresholds; none is settable by callers.
+_SIGN_TOL = 1e-12  # entries below this (times max(1, column max)) count as zero
+_GENERAL_TOL = 1e-8  # imaginary parts and eigenpair residuals, times the matrix scale
+_STRUCTURAL_TOL = 1e-8  # largest residual of a cell-constant direction
+_GAP_TOL = 1e-8  # eigenvalues closer than this form one degenerate block
+
+
+def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its first nonzero component is positive.
 
     Eigenvectors are only defined up to sign; pinning the sign makes
@@ -34,7 +41,7 @@ def _fix_signs(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     if vectors.size == 0:  # argmax needs a row; an empty basis stays empty
         return vectors.copy()
     mag = np.abs(vectors)
-    above = mag > tol * np.maximum(1.0, mag.max(axis=0))
+    above = mag > _SIGN_TOL * np.maximum(1.0, mag.max(axis=0))
     first = vectors[above.argmax(axis=0), np.arange(vectors.shape[1])]
     return np.where(above.any(axis=0) & (first < 0), -vectors, vectors)
 
@@ -98,28 +105,24 @@ def spectral_basis(g: WeightedGraph) -> SpectralBasis:
     return SpectralBasis(basis.eigenvalues, v, v[g.edge_i] - v[g.edge_j])
 
 
-def eigendecompose_general(
-    mat: np.ndarray,
-    imag_tol: float = 1e-8,
-    residual_tol: float = 1e-8,
-) -> tuple[np.ndarray, np.ndarray]:
+def eigendecompose_general(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real eigenpairs of a small dense matrix, e.g. a quotient Laplacian.
 
     Quotient Laplacians of symmetric matrices are similar to symmetric
-    matrices, so their spectra are real; imaginary parts beyond imag_tol
+    matrices, so their spectra are real; imaginary parts beyond 1e-8
     (relative to the matrix scale) signal that the input is not such a
     quotient and raise ValueError. Returns (eigenvalues ascending,
     unit eigenvectors as columns) with the first-nonzero-positive sign
-    convention; each pair satisfies ||M v - lambda v|| <= residual_tol ||v||.
+    convention; each pair satisfies ||M v - lambda v|| <= 1e-8 scale ||v||.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
     eigenvalues, vectors = np.linalg.eig(mat)
     scale = max(1.0, np.abs(mat).max(initial=0.0))
-    if np.abs(eigenvalues.imag).max(initial=0.0) > imag_tol * scale:
+    if np.abs(eigenvalues.imag).max(initial=0.0) > _GENERAL_TOL * scale:
         raise ValueError("matrix has complex eigenvalues beyond tolerance")
-    if np.abs(vectors.imag).max(initial=0.0) > imag_tol:
+    if np.abs(vectors.imag).max(initial=0.0) > _GENERAL_TOL:
         # Complex-conjugate vector pairs with real eigenvalues: realign by
         # taking real/imag parts would change the pairs, so reject instead.
         raise ValueError("matrix has complex eigenvectors beyond tolerance")
@@ -131,7 +134,7 @@ def eigendecompose_general(
     vectors = vectors / np.linalg.norm(vectors, axis=0)
     vectors = _fix_signs(vectors)
     resid = np.linalg.norm(mat @ vectors - vectors * eigenvalues, axis=0)
-    if np.any(resid > residual_tol * scale):
+    if np.any(resid > _GENERAL_TOL * scale):
         raise ValueError("eigenpair residual exceeds tolerance")
     return eigenvalues, vectors
 
@@ -147,54 +150,37 @@ def decompose(theta: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     return basis.vertex_vectors.T @ theta
 
 
-def structural_indices(
-    basis: SpectralBasis,
-    partition: VertexPartition,
-    tol: float = 1e-8,
-    gap_tol: float = 1e-8,
-) -> list[int]:
+def _degenerate_blocks(lam: np.ndarray, gap: float) -> list[np.ndarray]:
+    """Index runs of ascending eigenvalues whose neighbours lie closer than gap."""
+    return np.split(np.arange(lam.size), np.flatnonzero(np.diff(lam) >= gap) + 1)
+
+
+def structural_indices(basis: SpectralBasis, partition: VertexPartition) -> list[int]:
     """Indices of eigenvectors constant within each partition cell.
 
     A mode is structural when its eigenvector lies in the column space of
-    the partition indicator (equivalently, is cell-constant within tol).
-    Mode 0 is always structural on a connected graph. Eigenvalues closer
-    than gap_tol are treated as one degenerate block: individual
-    representatives inside such a block are arbitrary, so the block's
-    eigenspace is projected onto the indicator column space and the number
-    of structural directions is counted from the singular values; the
-    lowest indices of the block stand in for those directions.
-
-    For an exact almost equitable partition this returns exactly k indices.
+    the partition indicator P. All modes are read off one residual
+    R = V - P N^{-1} P^T V, the part of each eigenvector that leaves col(P).
+    A lone mode r is structural when max_i |R_ir| <= 1e-8. Eigenvalues
+    closer than 1e-8 form one degenerate block, whose individual
+    representatives are arbitrary: the number of structural directions in
+    the block is the number of singular values of R[:, block] at most 1e-8,
+    and the lowest indices of the block stand in for those directions. Both
+    thresholds are absolute. Mode 0 is always structural on a connected
+    graph, and an exact almost equitable partition gives exactly k indices.
     """
     if partition.n != basis.n:
         raise ValueError("partition does not match basis size")
-    lam = basis.eigenvalues
     vecs = basis.vertex_vectors
-    cells = partition.cells()
-    # Orthonormal basis of col(P): indicator columns scaled by 1/sqrt(size).
-    q = indicator_matrix(partition) / np.sqrt(partition.sizes())[None, :]
-
-    blocks: list[list[int]] = [[0]]
-    for r in range(1, basis.n):
-        if lam[r] - lam[r - 1] < gap_tol:
-            blocks[-1].append(r)
-        else:
-            blocks.append([r])
-
-    out: list[int] = []
-    for block in blocks:
-        if len(block) == 1:
-            v = vecs[:, block[0]]
-            dev = max(np.abs(v[c] - v[c].mean()).max() for c in cells)
-            if dev <= tol:
-                out.append(block[0])
-        else:
-            # Residual of the block eigenspace against col(P), computed as
-            # singular values of (I - Q Q^T) U directly: the 1 - s^2 route
-            # through Q^T U loses half the float precision near s = 1.
-            block_vecs = vecs[:, block]
-            resid_mat = block_vecs - q @ (q.T @ block_vecs)
-            resid = np.linalg.svd(resid_mat, compute_uv=False)
-            count = int(np.sum(resid <= tol))
-            out.extend(block[:count])
-    return out
+    resid = _cell_means(partition, vecs)[partition.assignment]
+    np.subtract(vecs, resid, out=resid)
+    # max_i |R_ir| per column, without a second n x n array for |R|.
+    keep = np.maximum(resid.max(axis=0), -resid.min(axis=0)) <= _STRUCTURAL_TOL
+    for block in _degenerate_blocks(basis.eigenvalues, _GAP_TOL):
+        if block.size > 1:
+            # Singular values of the residual directly: the 1 - s^2 route
+            # through the cosines Q^T U, Q an orthonormal basis of col(P),
+            # loses half the float precision near s = 1.
+            resid_sv = np.linalg.svd(resid[:, block], compute_uv=False)
+            keep[block] = np.arange(block.size) < np.sum(resid_sv <= _STRUCTURAL_TOL)
+    return np.flatnonzero(keep).tolist()

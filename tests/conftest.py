@@ -100,6 +100,38 @@ def oracle_x_coupling(system, basis, r1):
     return float(terms.sum())
 
 
+def oracle_structural_indices(basis, partition, tol=1e-8, gap_tol=1e-8):
+    """Structural mode indices, one mode and one cell at a time.
+
+    Lone modes are cell-constant within tol (max over cells of
+    |v_c - mean(v_c)|); a block of eigenvalues closer than gap_tol keeps as
+    many of its lowest indices as its eigenspace has singular values of
+    (I - Q Q^T) U at most tol, Q the orthonormal indicator basis. Test-only
+    reference for the one-residual form of structural_indices.
+    """
+    lam = basis.eigenvalues
+    vecs = basis.vertex_vectors
+    cells = partition.cells()
+    q = indicator_matrix(partition) / np.sqrt(partition.sizes())[None, :]
+    blocks = [[0]]
+    for r in range(1, basis.n):
+        if lam[r] - lam[r - 1] < gap_tol:
+            blocks[-1].append(r)
+        else:
+            blocks.append([r])
+    out = []
+    for block in blocks:
+        if len(block) == 1:
+            v = vecs[:, block[0]]
+            if max(np.abs(v[c] - v[c].mean()).max() for c in cells) <= tol:
+                out.append(block[0])
+        else:
+            block_vecs = vecs[:, block]
+            resid = np.linalg.svd(block_vecs - q @ (q.T @ block_vecs), compute_uv=False)
+            out.extend(block[:int(np.sum(resid <= tol))])
+    return out
+
+
 @pytest.fixture
 def path3():
     """Path graph 0-1-2 with unit weights."""

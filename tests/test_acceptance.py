@@ -1,7 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line with its headline numbers. Criteria 3-10 drive the shipped
 scenario harness at its default configuration."""
+import json
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -29,6 +31,7 @@ def _run(name, num, budget, seed=0):
     start = time.time()
     result = run_scenario(name, seed=seed)
     elapsed = time.time() - start
+    json.dumps(asdict(result))  # result.json renders: no numpy scalar in it
     failures = [f"{a.name} ({a.detail})" for a in result.assertions if not a.passed]
     detail = f"{name} in {elapsed:.1f}s (budget {budget:.0f}s)"
     if failures:

@@ -277,6 +277,29 @@ class TestExperimentCommand:
         assert captured.out == ""
         assert "sizes" in captured.err
 
+    @pytest.mark.parametrize("payload", [["seeds"], None, []])
+    def test_config_must_be_a_json_object(self, tmp_path, capsys, monkeypatch, payload):
+        def refuse(*args):
+            raise AssertionError("the scenario ran")
+
+        monkeypatch.setitem(experiments._SCENARIOS, "sbm_limit", refuse)
+        cfg = write_json(tmp_path / "cfg.json", payload)
+        assert main(["experiment", "sbm_limit", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "JSON object" in captured.err
+
+    def test_unusable_out_dir_fails_before_any_scenario(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a scenario ran")
+
+        for name in experiments.available_scenarios():
+            monkeypatch.setitem(experiments._SCENARIOS, name, refuse)
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        assert main(["experiment", "all", "--out-dir", str(blocker)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_scenario_value_error_exits_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {"sigma": 0.0})
         assert main(["experiment", "phase_lag_ex2", "--config", cfg]) == 2

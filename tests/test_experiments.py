@@ -1,10 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from specsync import available_scenarios, experiments, fileio, run_scenario
-from specsync.experiments import build_fig6_system
+from specsync.experiments import Assertion, build_fig6_system
 
 
 SMALL_BASIS_EQ = {"systems": 3, "n_min": 5, "n_max": 8, "t_final": 5.0, "dt": 0.01}
@@ -64,6 +65,17 @@ class TestRegistry:
         with pytest.raises(ValueError, match=key):
             run_scenario("sbm_limit", config={key: value})
 
+    @pytest.mark.parametrize("config", [["seeds"], [], "seeds", 3])
+    def test_config_must_be_an_object(self, sbm_must_not_run, config):
+        with pytest.raises(ValueError, match="JSON object"):
+            run_scenario("sbm_limit", config=config)
+
+    def test_out_dir_made_before_the_scenario_runs(self, sbm_must_not_run, tmp_path):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        with pytest.raises(OSError):
+            run_scenario("sbm_limit", out_dir=blocker)
+
     def test_integer_elements_accepted_for_numbers(self, monkeypatch):
         seen = {}
 
@@ -106,6 +118,32 @@ class TestDeterminism:
         res = run_scenario(name, config=config, seed=0)
         assert res.artifacts == ()
         assert list(tmp_path.iterdir()) == []
+
+
+class TestResultJson:
+    def test_numpy_bool_flags_render_as_json_booleans(self, tmp_path, monkeypatch):
+        def numpy_flags(config, seed):
+            return [Assertion("yes", np.float64(1.0) > 0, ""),
+                    Assertion("no", np.bool_(False), "")], {}, {}
+
+        monkeypatch.setitem(experiments._SCENARIOS, "sbm_limit", numpy_flags)
+        res = run_scenario("sbm_limit", out_dir=tmp_path)
+        assert [type(a.passed) for a in res.assertions] == [bool, bool]
+        text = (tmp_path / "sbm_limit" / "result.json").read_text()
+        assert [a["passed"] for a in json.loads(text)["assertions"]] == [True, False]
+        assert json.loads(text)["passed"] is False
+
+    def test_rendering_failure_writes_no_file(self, tmp_path, monkeypatch):
+        def refuse(path):
+            raise AssertionError("a file was written")
+
+        def unrenderable(config, seed):
+            return [], {"value": object()}, {"table.csv": refuse}
+
+        monkeypatch.setitem(experiments._SCENARIOS, "sbm_limit", unrenderable)
+        with pytest.raises(TypeError):
+            run_scenario("sbm_limit", out_dir=tmp_path)
+        assert list((tmp_path / "sbm_limit").iterdir()) == []
 
 
 class TestSmallRuns:

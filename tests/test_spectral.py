@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specsync import (
+    SpectralBasis,
     WeightedGraph,
     VertexPartition,
     laplacian,
@@ -14,7 +15,13 @@ from specsync import (
     structural_indices,
 )
 
-from conftest import oracle_down_edge_laplacian, oracle_incidence, random_connected_graph
+from conftest import (
+    oracle_down_edge_laplacian,
+    oracle_incidence,
+    oracle_structural_indices,
+    random_connected_graph,
+    random_partition,
+)
 
 
 class TestEigendecompose:
@@ -233,6 +240,77 @@ class TestStructuralIndices:
         g, p = planted_aep(cfg)
         basis = spectral_basis(g)
         assert len(structural_indices(basis, p)) == p.k
+
+
+def _degenerate_instances(n):
+    """Cycle, complete and star graphs on n vertices, whose spectra hold
+    degenerate blocks, each with a partition they are equitable for."""
+    halves = VertexPartition(np.arange(n) % 2)
+    yield WeightedGraph(n, [(i, (i + 1) % n, 1.0) for i in range(n)]), halves
+    yield WeightedGraph(n, [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)]), halves
+    yield WeightedGraph(n, [(0, j, 1.0) for j in range(1, n)]), VertexPartition([0] + [1] * (n - 1))
+
+
+class TestStructuralIndicesMatchOracle:
+    """The one-residual form returns the per-mode, per-cell oracle's lists."""
+
+    def test_random_graphs_and_partitions(self):
+        rng = np.random.default_rng(21)
+        for _ in range(150):
+            g = random_connected_graph(rng, n_max=16)
+            p = random_partition(rng, g.n)
+            basis = spectral_basis(g)
+            assert structural_indices(basis, p) == oracle_structural_indices(basis, p)
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-9, 1e-3, 0.1])
+    def test_planted_aeps(self, eta):
+        from specsync import planted_aep, perturb, PlantedAepConfig
+
+        rng = np.random.default_rng(int(eta * 1e9) + 5)
+        for seed in range(25):
+            k = int(rng.integers(2, 5))
+            sizes = rng.integers(2, 8, k)
+            total = rng.uniform(1.0, 8.0, (k, k))  # cross weight between cells
+            total = np.triu(total, 1) + np.triu(total, 1).T
+            cfg = PlantedAepConfig(
+                cell_sizes=tuple(int(c) for c in sizes),
+                quotient_weights=tuple(map(tuple, total / sizes[:, None])),
+                intra_density=float(rng.uniform(0.2, 0.9)),
+                seed=seed,
+            )
+            g, p = planted_aep(cfg)
+            if eta:
+                g = perturb(g, p, eta, seed=seed)
+            basis = spectral_basis(g)
+            got = structural_indices(basis, p)
+            assert got == oracle_structural_indices(basis, p)
+            if eta == 0.0:
+                assert len(got) == p.k
+
+    def test_lone_mode_threshold_is_on_the_largest_entry(self):
+        # Residual entries of +-0.9e-8 (2-norm 1.3e-7) keep mode 1; one
+        # entry of 1.1e-8 drops mode 2. perfbench's cell_constant check
+        # applies the same max-abs rule.
+        n = 200
+        p = VertexPartition(np.arange(n) // 100)
+        rng = np.random.default_rng(0)
+        vecs = rng.normal(size=(n, n))
+        vecs[:, 0] = 1.0
+        vecs[:, 1] = p.assignment + 0.9e-8 * (-1.0) ** np.arange(n)
+        vecs[:, 2] = p.assignment + 1.1e-8 * (np.arange(n) == 7)
+        basis = SpectralBasis(np.arange(n, dtype=float), vecs, None)
+        assert structural_indices(basis, p) == oracle_structural_indices(basis, p) == [0, 1]
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_cycle_complete_and_star_blocks(self, n):
+        rng = np.random.default_rng(n)
+        for g, p in _degenerate_instances(n):
+            basis = spectral_basis(g)
+            assert np.diff(basis.eigenvalues).min() < 1e-8  # a block is present
+            for part in (p, random_partition(rng, n), VertexPartition(np.arange(n))):
+                got = structural_indices(basis, part)
+                assert got == oracle_structural_indices(basis, part)
+                assert all(type(r) is int for r in got)
 
 
 class TestLiftedEigenpairs:
