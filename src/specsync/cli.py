@@ -34,7 +34,7 @@ from .dynamics import (
     rezero,
 )
 from .equitable import approximation_bound, check_aep, equitable_error, qep_score
-from .experiments import available_scenarios, run_scenario
+from .experiments import available_scenarios, run_scenario, scenario_config
 from .generators import PlantedAepConfig, SbmConfig, nested_aep, perturb, planted_aep, sample_sbm
 from .graph import laplacian
 from .spectral import decompose, eigendecompose, spectral_basis
@@ -157,7 +157,6 @@ def _cmd_simulate(args) -> None:
     basis = spectral_basis(graph)
     if args.basis == "vertex":
         traj = integrate_vertex(system, theta0, args.dt, args.steps)
-        ctraj = decompose_trajectory(traj, basis)
     else:
         ctraj = integrate_coefficient(
             system, basis, decompose(theta0, basis), args.dt, args.steps
@@ -168,6 +167,7 @@ def _cmd_simulate(args) -> None:
         if not 0 <= idx < traj.states.shape[0]:
             raise ValueError("--rezero time outside the trajectory")
         traj = rezero(traj, idx)
+    if args.basis == "vertex" or args.rezero is not None:  # decompose once, after any rezero
         ctraj = decompose_trajectory(traj, basis)
     out = _out_dir(args)
     fileio.write_phase_csv(traj, out / "trajectory.csv")
@@ -206,6 +206,8 @@ def _cmd_predict(args) -> None:
 def _cmd_experiment(args) -> None:
     names = available_scenarios() if args.name == "all" else [args.name]
     config = _load(_read_config, args.config, "--config") if args.config else None
+    for name in names:  # check the config against every scenario before the first runs
+        scenario_config(name, config)
     for name in names:
         result = run_scenario(name, config=config, seed=args.seed, out_dir=args.out_dir)
         status = "PASS" if result.passed else "FAIL"

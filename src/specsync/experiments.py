@@ -59,7 +59,10 @@ from .analysis import (
 from .generators import PlantedAepConfig, SbmConfig, planted_aep, nested_aep, perturb, sample_sbm
 from . import fileio
 
-__all__ = ["Assertion", "ScenarioResult", "available_scenarios", "run_scenario", "build_fig6_system"]
+__all__ = [
+    "Assertion", "ScenarioResult", "available_scenarios", "scenario_config", "run_scenario",
+    "build_fig6_system",
+]
 
 
 @dataclass(frozen=True)
@@ -755,6 +758,24 @@ def available_scenarios() -> tuple[str, ...]:
     return tuple(sorted(_SCENARIOS))
 
 
+def scenario_config(name: str, config: dict | None = None) -> dict:
+    """The config run_scenario(name, config) runs with, checked: defaults updated by config."""
+    if name not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; choose from {available_scenarios()}")
+    overrides = {} if config is None else config
+    if not isinstance(overrides, dict):
+        raise ValueError(f"config must be a JSON object, got {_json_type(config)} {config!r}")
+    merged = _load_default_config(name)
+    unknown = set(overrides) - set(merged)
+    if unknown:
+        raise ValueError(f"unknown config keys for {name}: {sorted(unknown)}")
+    for key, value in overrides.items():
+        if not _fits(merged[key], value):
+            raise ValueError(f"config key {key!r} of {name} must have the JSON types "
+                             f"of {merged[key]!r}, got {value!r}")
+    return merged | overrides
+
+
 def run_scenario(
     name: str,
     config: dict | None = None,
@@ -773,22 +794,9 @@ def run_scenario(
     which is rendered before any file is written. Without out_dir nothing
     is written and no file writer runs.
     """
-    if name not in _SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}; choose from {available_scenarios()}")
+    merged = scenario_config(name, config)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    if config is not None and not isinstance(config, dict):
-        raise ValueError(f"config must be a JSON object, got {_json_type(config)} {config!r}")
-    merged = _load_default_config(name)
-    if config:
-        unknown = set(config) - set(merged)
-        if unknown:
-            raise ValueError(f"unknown config keys for {name}: {sorted(unknown)}")
-        for key, value in config.items():
-            if not _fits(merged[key], value):
-                raise ValueError(f"config key {key!r} of {name} must have the JSON types "
-                                 f"of {merged[key]!r}, got {value!r}")
-        merged.update(config)
     out = None if out_dir is None else Path(out_dir) / name
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)

@@ -54,11 +54,11 @@ def load_partition(path) -> VertexPartition:
 
 def write_table(path, header, rows) -> None:
     """CSV with one header line: floats with 17 significant digits, any
-    other cell with str. rows is iterated once, so it may be a generator."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    other cell with str. Each line is written as rows yields it; rows may be a generator."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def _write_timeseries(path, times: np.ndarray, series: np.ndarray, prefix: str) -> None:

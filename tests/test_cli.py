@@ -9,7 +9,7 @@ import pytest
 
 import specsync
 from specsync.cli import main
-from specsync import experiments, fileio
+from specsync import cli, experiments, fileio
 from specsync.experiments import build_fig6_system
 
 
@@ -153,6 +153,42 @@ class TestSimulate:
         times, values = fileio.read_timeseries_csv(out / "trajectory.csv")
         assert times[0] == 1.0
         assert np.abs(values).max() < np.pi
+
+    @pytest.mark.parametrize("basis", ["vertex", "coefficient"])
+    def test_rezero_decomposes_once(self, tmp_path, monkeypatch, basis):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return specsync.decompose_trajectory(*args)
+
+        monkeypatch.setattr(cli, "decompose_trajectory", counted)
+        graph = make_path_graph(tmp_path)
+        out = tmp_path / "cli"
+        code = main(["simulate", "--graph", graph, "--omega", "[0.5, 0.1, -0.3]",
+                     "--theta0", "[0.2, 0.1, 0.0]", "--steps", "200", "--basis", basis,
+                     "--rezero", "1.0", "--out-dir", str(out)])
+        assert code == 0
+        assert len(calls) == 1
+
+        g = fileio.load_graph(graph)
+        system = specsync.OscillatorSystem(graph=g, omega=np.array([0.5, 0.1, -0.3]), sigma=1.0)
+        spec = specsync.spectral_basis(g)
+        theta0 = np.array([0.2, 0.1, 0.0])
+        if basis == "vertex":
+            traj = specsync.integrate_vertex(system, theta0, 0.01, 200)
+        else:
+            alpha0 = specsync.decompose(theta0, spec)
+            traj = specsync.reconstruct_trajectory(
+                specsync.integrate_coefficient(system, spec, alpha0, 0.01, 200))
+        traj = specsync.rezero(traj, 100)
+        direct = tmp_path / "direct"
+        direct.mkdir()
+        fileio.write_phase_csv(traj, direct / "trajectory.csv")
+        fileio.write_coefficient_csv(specsync.decompose_trajectory(traj, spec),
+                                     direct / "coefficients.csv")
+        for name in ("trajectory.csv", "coefficients.csv"):
+            assert (out / name).read_bytes() == (direct / name).read_bytes()
 
     @pytest.mark.parametrize("when", ["nan", "inf", "-inf"])
     def test_rezero_must_be_finite(self, tmp_path, capsys, when):
@@ -299,6 +335,20 @@ class TestExperimentCommand:
         blocker.write_text("")
         assert main(["experiment", "all", "--out-dir", str(blocker)]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_all_checks_the_config_before_any_scenario(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a scenario ran")
+
+        for name in experiments.available_scenarios():
+            monkeypatch.setitem(experiments._SCENARIOS, name, refuse)
+        cfg = write_json(tmp_path / "cfg.json", {"dt": 0.01})  # every scenario but sbm_limit has dt
+        out = tmp_path / "runs"
+        assert main(["experiment", "all", "--config", cfg, "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sbm_limit" in captured.err
+        assert not out.exists()
 
     def test_scenario_value_error_exits_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {"sigma": 0.0})

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specsync import available_scenarios, experiments, fileio, run_scenario
+from specsync import available_scenarios, experiments, fileio, run_scenario, scenario_config
 from specsync.experiments import Assertion, build_fig6_system
 
 
@@ -86,6 +86,22 @@ class TestRegistry:
         monkeypatch.setitem(experiments._SCENARIOS, "sbm_limit", record)
         assert run_scenario("sbm_limit", config={"probabilities": [[1, 0.5], [0.5, 1]]}).passed
         assert seen["probabilities"] == [[1, 0.5], [0.5, 1]]
+
+
+    def test_scenario_config_is_what_the_scenario_runs_with(self, monkeypatch):
+        seen = {}
+
+        def record(config, seed):
+            seen.update(config)
+            return [], {}, {}
+
+        monkeypatch.setitem(experiments._SCENARIOS, "sbm_limit", record)
+        overrides = {"seeds": 1}
+        run_scenario("sbm_limit", config=overrides)
+        assert scenario_config("sbm_limit", overrides) == seen
+        assert seen["seeds"] == 1 and overrides == {"seeds": 1}
+        with pytest.raises(ValueError, match="config keys for sbm_limit"):
+            scenario_config("sbm_limit", {"dt": 0.01})
 
 
 class TestDeterminism:

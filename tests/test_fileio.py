@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,43 @@ class TestTrajectoryCsv:
         coeff_path = tmp_path / "coeffs.csv"
         fileio.write_coefficient_csv(decompose_trajectory(traj, spectral_basis(g)), coeff_path)
         assert coeff_path.read_text().splitlines()[0] == "t,alpha_0,alpha_1"
+
+
+class TestStreamedTrajectoryCsv:
+    """Trajectory CSVs are written line by line through write_table; every
+    byte must match numpy's own "%.17g" rendering of the same table."""
+
+    SPECIALS = [-0.0, 5e-324, 1e300, float("nan"), float("inf")]
+
+    @pytest.mark.parametrize("n", [1, 300])
+    @pytest.mark.parametrize("count", [1, 2, 1001])
+    def test_bytes_match_savetxt(self, tmp_path, n, count):
+        rng = np.random.default_rng(count)
+        states = rng.normal(size=(count, n)) * 10.0 ** rng.integers(-320, 300, size=(count, n))
+        k = min(len(self.SPECIALS), states.size)
+        states.flat[:k] = self.SPECIALS[:k]
+        states.flat[-k:] = self.SPECIALS[-k:]
+        traj = Trajectory(t0=-0.3, dt=1.0 / 3.0, states=states)
+        streamed, reference = tmp_path / "streamed.csv", tmp_path / "reference.csv"
+        fileio.write_phase_csv(traj, streamed)
+        header = ",".join(["t", *(f"theta_{i}" for i in range(n))])
+        np.savetxt(reference, np.column_stack((traj.times, states)), fmt="%.17g",
+                   delimiter=",", header=header, comments="")
+        assert streamed.read_bytes() == reference.read_bytes()
+
+    def test_peak_memory_is_bounded(self, tmp_path):
+        # about 10 MB of CSV; a writer holding the whole table peaks near 30 MB
+        states = np.random.default_rng(72).normal(size=(5001, 100))
+        traj = Trajectory(t0=0.0, dt=0.01, states=states)
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            fileio.write_phase_csv(traj, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 9e6
+        assert peak < 8e6
 
 
 class TestWriteTable:
