@@ -152,8 +152,17 @@ def _cmd_simulate(args) -> None:
         _load(partial(fileio.load_vector, expected_len=graph.n), args.theta0, "--theta0")
         if args.theta0 else np.zeros(graph.n)
     )
-    if args.rezero is not None and not np.isfinite(args.rezero):
-        raise ValueError(f"--rezero must be a finite time, got {args.rezero}")
+    at = None
+    if args.rezero is not None:
+        if not np.isfinite(args.rezero):
+            raise ValueError(f"--rezero must be a finite time, got {args.rezero}")
+        # Checked before integrating; a --dt that is not finite and positive is
+        # left to the integrator, which rejects it.
+        if np.isfinite(args.dt) and args.dt > 0:
+            at = np.rint(args.rezero / args.dt)
+            if not 0 <= at <= args.steps:
+                raise ValueError("--rezero time outside the trajectory")
+            at = int(at)
     basis = spectral_basis(graph)
     if args.basis == "vertex":
         traj = integrate_vertex(system, theta0, args.dt, args.steps)
@@ -162,11 +171,8 @@ def _cmd_simulate(args) -> None:
             system, basis, decompose(theta0, basis), args.dt, args.steps
         )
         traj = reconstruct_trajectory(ctraj)
-    if args.rezero is not None:
-        idx = int(round((args.rezero - traj.t0) / traj.dt))
-        if not 0 <= idx < traj.states.shape[0]:
-            raise ValueError("--rezero time outside the trajectory")
-        traj = rezero(traj, idx)
+    if at is not None:
+        traj = rezero(traj, at)
     if args.basis == "vertex" or args.rezero is not None:  # decompose once, after any rezero
         ctraj = decompose_trajectory(traj, basis)
     out = _out_dir(args)

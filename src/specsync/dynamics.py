@@ -15,16 +15,22 @@ Laplacian eigenbasis with edge vectors e^(r) = B^T v^(r):
 
 The vertex coupling sum_j A_ij sin(theta_i - theta_j + beta_ij) has two
 kernels, chosen from the graph's density alone. Dense graphs (32 m >= n^2)
-use the order-parameter identity
+use the real stacked identity, with S = sin theta, C = cos theta, the
+symmetric Kc = A o cos beta and the antisymmetric Ks = A o sin beta
+(beta_ji = -beta_ij):
 
-    sum_j A_ij sin(theta_i - theta_j + beta_ij) = Im(z_i (K conj(z))_i),
+    sum_j A_ij sin(theta_i - theta_j + beta_ij)
+        = S o (Kc C) - C o (Kc S) + C o (Ks C) + S o (Ks S):
 
-with z = exp(i theta) and the Hermitian K_ij = A_ij exp(i beta_ij)
-(K_ji = conj(K_ij) because beta is antisymmetric): one n x n complex
-matvec per call, with or without lag. Sparse graphs gather the m edge
-terms and scatter them with bincount, O(m) per call. The coefficient form
-stays in edge space as written above, so comparing the two forms remains
-an independent check.
+one real matrix product per call, of the stacked rows [S; C] with Kc, or
+with [Kc, Ks] when there is lag. Sparse graphs gather the m edge terms and
+scatter them with bincount, O(m) per call. The coefficient form stays in
+edge space as written above, so comparing the two forms remains an
+independent check.
+
+integrate_vertex also advances a batch of B initial states on one system:
+theta0 of shape (B, n) gives states of shape (steps + 1, B, n), with one
+RK4 step loop and one kernel call per stage for the whole batch.
 
 Both forms are integrated with fixed-step classical RK4; fixed stepping
 keeps the two trajectories aligned in time so they can be compared sample
@@ -33,6 +39,7 @@ mod 2 pi when winding offsets need to be removed before decomposition.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,9 +64,10 @@ __all__ = [
 class BlowUpError(RuntimeError):
     """Integration produced a non-finite state."""
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite state at step {step}")
+    def __init__(self, step: int, row: int):
+        super().__init__(f"non-finite state at step {step}, batch row {row}")
         self.step = step
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,7 @@ class Trajectory:
 
     t0: float
     dt: float
-    states: np.ndarray  # (steps + 1, n)
+    states: np.ndarray  # (steps + 1, n), or (steps + 1, B, n) for a batch
 
     @property
     def times(self) -> np.ndarray:
@@ -117,7 +125,7 @@ class Trajectory:
 
     @property
     def n(self) -> int:
-        return int(self.states.shape[1])
+        return int(self.states.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -126,7 +134,7 @@ class CoefficientTrajectory:
 
     t0: float
     dt: float
-    coeffs: np.ndarray  # (steps + 1, n)
+    coeffs: np.ndarray  # (steps + 1, n), or (steps + 1, B, n) for a batch
     basis: SpectralBasis
 
     @property
@@ -135,16 +143,17 @@ class CoefficientTrajectory:
 
     @property
     def n(self) -> int:
-        return int(self.coeffs.shape[1])
+        return int(self.coeffs.shape[-1])
 
 
 def _rk4(rhs, y0: np.ndarray, dt: float, steps: int) -> np.ndarray:
     """Classical fixed-step RK4; raises BlowUpError on non-finite states.
 
-    A non-finite state stays non-finite under every later step, so one
-    check after the loop finds the same first bad step as a per-step test.
+    Leading axes of the state are batch rows that rhs advances apart. A
+    non-finite row stays non-finite under every later step, so one check
+    after the loop finds the first bad step and row a per-step test would.
     """
-    out = np.empty((steps + 1, y0.size))
+    out = np.empty((steps + 1,) + y0.shape)
     out[0] = y = y0
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -157,21 +166,21 @@ def _rk4(rhs, y0: np.ndarray, dt: float, steps: int) -> np.ndarray:
             k4 = rhs(y + dt * k3)
             y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             out[k] = y
-    bad = ~np.isfinite(out[1:]).all(axis=1)
+    bad = ~np.isfinite(out[1:]).reshape(steps, -1, y0.shape[-1]).all(axis=2)
     if bad.any():
-        raise BlowUpError(int(np.argmax(bad)) + 1)
+        step, row = np.argwhere(bad)[0]
+        raise BlowUpError(int(step) + 1, int(row))
     return out
 
 
-def _initial_state(state, name: str, size: int, dt, steps) -> np.ndarray:
-    """Check an integrator's run inputs and return its initial state as floats.
+def _initial_state(state: np.ndarray, name: str, shape: tuple, dt, steps) -> np.ndarray:
+    """Check an integrator's run inputs against the initial state's shape.
 
     Non-finite inputs would otherwise surface as a BlowUpError at step 1,
     and a non-integer step count as a TypeError inside the RK4 loop.
     """
-    state = np.asarray(state, dtype=float)
-    if state.shape != (size,):
-        raise ValueError(f"{name} length does not match the system size {size}")
+    if state.shape != shape or not state.size:
+        raise ValueError(f"{name} length does not match the system size {shape[-1]}: {state.shape}")
     if not np.isfinite(state).all():
         raise ValueError(f"{name} must be finite")
     if not np.isfinite(dt) or dt <= 0:
@@ -181,42 +190,77 @@ def _initial_state(state, name: str, size: int, dt, steps) -> np.ndarray:
     return state
 
 
-def _edge_coupling(g: WeightedGraph, beta: np.ndarray):
-    """Edge-list kernel: gather the m edge terms, scatter them with bincount."""
-    ei, ej, w, n = g.edge_i, g.edge_j, g.edge_w, g.n
+def _edge_coupling(g: WeightedGraph, beta: np.ndarray, shape: tuple):
+    """Edge-list kernel: gather the m edge terms of every row, scatter them
+    with one bincount over the flat index b * n + i."""
+    n = g.n
+    size = math.prod(shape)
+    batch = size // n
+    offset = n * np.arange(batch)[:, None]
+    flat_i, flat_j = (offset + g.edge_i).ravel(), (offset + g.edge_j).ravel()
+    w, beta = np.tile(g.edge_w, batch), np.tile(beta, batch)
 
     def edge_flow(theta):
-        s = w * np.sin(theta[ei] - theta[ej] + beta)
-        return np.bincount(ei, weights=s, minlength=n) - np.bincount(
-            ej, weights=s, minlength=n
+        flat = theta.ravel()
+        s = w * np.sin(flat[flat_i] - flat[flat_j] + beta)
+        flow = np.bincount(flat_i, weights=s, minlength=size) - np.bincount(
+            flat_j, weights=s, minlength=size
         )
+        return flow.reshape(shape)
 
     return edge_flow
 
 
-def _dense_coupling(g: WeightedGraph, beta: np.ndarray):
-    """Dense kernel: Im(z (K conj(z))) with the Hermitian K = A o exp(i beta)."""
-    kmat = np.zeros((g.n, g.n), dtype=complex)
-    kmat[g.edge_i, g.edge_j] = g.edge_w * np.exp(1j * beta)
-    kmat[g.edge_j, g.edge_i] = kmat[g.edge_i, g.edge_j].conj()
+def _dense_coupling(g: WeightedGraph, beta: np.ndarray, shape: tuple):
+    """Dense kernel: S o (Kc C) - C o (Kc S), plus C o (Ks C) + S o (Ks S)
+    with lag, from one matrix product per call.
+
+    Every row's sin and cos go into one preallocated (B, 2, n) buffer whose
+    (2B, n) view multiplies Kc, or [Kc, Ks] when beta is not all zero. The
+    views read and written per call have the state's own shape, so a single
+    state stays one-dimensional.
+    """
+    n, ei, ej = g.n, g.edge_i, g.edge_j
+    batch = math.prod(shape) // n
+    lagged = bool(beta.any())
+    kmat = np.zeros((n, 2 * n if lagged else n))
+    kmat[ei, ej] = kmat[ej, ei] = g.edge_w * np.cos(beta)
+    if lagged:
+        kmat[ei, n + ej] = g.edge_w * np.sin(beta)
+        kmat[ej, n + ei] = -kmat[ei, n + ej]
+    trig = np.empty((batch, 2, n))
+    prod = np.empty((batch, 2, kmat.shape[1]))
+    trig_rows, prod_rows = trig.reshape(2 * batch, n), prod.reshape(2 * batch, -1)
+    sin_t, cos_t = trig[:, 0].reshape(shape), trig[:, 1].reshape(shape)
+    # Rows of the product: S Kc = Kc S, C Kc = Kc C, and with lag
+    # S Ks = -Ks S, C Ks = -Ks C.
+    kc_s, kc_c = prod[:, 0, :n].reshape(shape), prod[:, 1, :n].reshape(shape)
+    if lagged:
+        ks_s, ks_c = prod[:, 0, n:].reshape(shape), prod[:, 1, n:].reshape(shape)
 
     def dense_flow(theta):
-        z = np.exp(1j * theta)
-        return (z * (kmat @ z.conj())).imag
+        np.sin(theta, out=sin_t)
+        np.cos(theta, out=cos_t)
+        np.matmul(trig_rows, kmat, out=prod_rows)
+        if lagged:
+            np.subtract(kc_c, ks_s, out=kc_c)
+            np.add(kc_s, ks_c, out=kc_s)
+        return sin_t * kc_c - cos_t * kc_s
 
     return dense_flow
 
 
-def _vertex_coupling(system: OscillatorSystem):
-    """Return theta -> sum_j A_ij sin(theta_i - theta_j + beta_ij), per vertex.
+def _vertex_coupling(system: OscillatorSystem, shape: tuple):
+    """Return theta -> sum_j A_ij sin(theta_i - theta_j + beta_ij) for a
+    state theta of the given shape, (n,) or (B, n).
 
-    The kernel depends only on the graph's density. Single-threaded, one
-    gathered edge term costs about as much as 40 matrix entries of the
-    complex matvec, so graphs with 32 m < n^2 keep the edge list.
+    The kernel depends only on the graph's density. Single-threaded at
+    n = 60-300, the two kernels cost the same near 32 m = n^2 with lag and
+    near 16 m = n^2 without, so graphs with 32 m < n^2 keep the edge list.
     """
     g = system.graph
     build = _edge_coupling if 32 * g.m < g.n * g.n else _dense_coupling
-    return build(g, system.beta)
+    return build(g, system.beta, shape)
 
 
 def integrate_vertex(
@@ -227,13 +271,18 @@ def integrate_vertex(
 ) -> Trajectory:
     """Integrate the vertex-form dynamics from theta0 at t = 0 over `steps` RK4 steps.
 
-    Phases are tracked unwrapped in R. With sigma-coupling switched off the
-    integration is exact (RK4 reproduces linear-in-t flows), which the tests
-    use as a sanity anchor.
+    theta0 is one state, shape (n,), or a batch of B states, shape (B, n);
+    the states returned have shape (steps + 1, n) or (steps + 1, B, n). The
+    rows of a batch share the step loop and each kernel call, and each
+    equals its own single run up to roundoff. Phases are tracked unwrapped
+    in R. With sigma-coupling switched off the integration is exact (RK4
+    reproduces linear-in-t flows), which the tests use as a sanity anchor.
     """
-    theta0 = _initial_state(theta0, "theta0", system.graph.n, dt, steps)
+    theta0 = np.asarray(theta0, dtype=float)
+    batch = theta0.shape[:1] if theta0.ndim == 2 else ()
+    theta0 = _initial_state(theta0, "theta0", batch + (system.graph.n,), dt, steps)
     omega, sigma = system.omega, system.sigma
-    flow = _vertex_coupling(system)
+    flow = _vertex_coupling(system, theta0.shape)
 
     def rhs(theta):
         return omega - sigma * flow(theta)
@@ -259,7 +308,7 @@ def integrate_coefficient(
         raise ValueError("basis carries no edge vectors; build it from the graph")
     if basis.n != system.graph.n or basis.m != system.graph.m:
         raise ValueError("basis does not match the system graph")
-    alpha0 = _initial_state(alpha0, "alpha0", basis.n, dt, steps)
+    alpha0 = _initial_state(np.asarray(alpha0, dtype=float), "alpha0", (basis.n,), dt, steps)
     w = system.graph.edge_w
     sigma, beta = system.sigma, system.beta
     omega_spec = basis.vertex_vectors.T @ system.omega
@@ -315,8 +364,8 @@ def rezero(traj: Trajectory, at: int) -> Trajectory:
         raise IndexError(f"sample index {at} out of range")
     at = at % count
     suffix = traj.states[at:]
-    mean = np.arctan2(np.sin(suffix).mean(axis=1), np.cos(suffix).mean(axis=1))
-    centered = _wrap_pi(suffix - mean[:, None])
+    mean = np.arctan2(np.sin(suffix).mean(axis=-1), np.cos(suffix).mean(axis=-1))
+    centered = _wrap_pi(suffix - mean[..., None])
     return Trajectory(t0=traj.t0 + traj.dt * at, dt=traj.dt, states=centered)
 
 
@@ -328,6 +377,8 @@ def cluster_spread(traj: Trajectory, partition, at: int) -> np.ndarray:
     """
     if partition.n != traj.n:
         raise ValueError("partition does not match trajectory width")
+    if traj.states.ndim != 2:
+        raise ValueError("cluster_spread takes one trajectory; pass states[:, b] of a batch")
     count = traj.states.shape[0]
     if not -count <= at < count:
         raise IndexError(f"sample index {at} out of range")

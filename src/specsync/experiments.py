@@ -43,6 +43,7 @@ from .spectral import _degenerate_blocks, decompose, eigendecompose, spectral_ba
 from .equitable import approximation_bound, equitable_error, equitable_error_matrix, qep_score
 from .dynamics import (
     OscillatorSystem,
+    Trajectory,
     integrate_vertex,
     integrate_coefficient,
     decompose_trajectory,
@@ -207,7 +208,7 @@ def _scn_fig2(config, seed):
     spread = float(cluster_spread(traj, p, -1).max())
     err = np.abs(terminal[1:] - pred.alpha_inf[1:])
     small = np.abs(pred.alpha_inf[1:]) < 0.1
-    small_ok = np.all(
+    small_ok = small.any() and np.all(
         (err[small] <= config["match_rtol"] * np.abs(pred.alpha_inf[1:])[small])
         | (err[small] <= 1e-6)
     )
@@ -306,17 +307,18 @@ def _scn_fig4(config, seed):
     sys_ = OscillatorSystem(graph=g, omega=np.zeros(g.n), sigma=sigma)
     expected_states = ["disordered", "six_cluster", "three_cluster", "synchronized"]
 
-    sequence_pass = 0
-    rate_pass = 0
+    sequence_pass = rate_pass = rates_checked = 0
     regime_rows, rate_rows = [], []
     first_ctraj = None
     # Skip decay-rate assertions for modes inside near-degenerate blocks.
     lam = basis.eigenvalues
     lone = {int(b[0]) for b in _degenerate_blocks(lam, 1e-6) if b.size == 1}
+    scale = config["theta0_scale"]
+    theta0 = [np.random.default_rng(seed + s).uniform(-scale, scale, g.n)
+              for s in range(config["seeds"])]
+    batch = integrate_vertex(sys_, np.array(theta0), config["dt"], config["steps"])
     for s in range(config["seeds"]):
-        rng = np.random.default_rng(seed + s)
-        theta0 = rng.uniform(-config["theta0_scale"], config["theta0_scale"], g.n)
-        traj = integrate_vertex(sys_, theta0, config["dt"], config["steps"])
+        traj = Trajectory(t0=batch.t0, dt=batch.dt, states=batch.states[:, s])
         ctraj = decompose_trajectory(traj, basis)
         if first_ctraj is None:
             first_ctraj = ctraj
@@ -342,14 +344,13 @@ def _scn_fig4(config, seed):
         rates_early = fit_decay_rates(ctraj, lo, hi, amp_floor=1e-8)
         for r in range(1, g.n):
             rates[r] = rates_late[r] if r in fine else rates_early[r]
-        ok = True
-        for r in range(1, g.n):
-            if np.isnan(rates[r]) or r not in lone:
-                continue
-            rel = abs(rates[r] - sigma * lam[r]) / (sigma * lam[r])
-            rate_rows.append((s, r, float(lam[r]), float(rates[r]), float(rel)))
-            ok = ok and bool(rel <= config["rate_rtol"])
-        rate_pass += ok
+        # A seed passes only on at least one finite fitted rate.
+        checked = [r for r in range(1, g.n) if r in lone and not np.isnan(rates[r])]
+        rel = np.abs(rates[checked] - sigma * lam[checked]) / (sigma * lam[checked])
+        rate_rows += [(s, r, float(lam[r]), float(rates[r]), float(e))
+                      for r, e in zip(checked, rel)]
+        rate_pass += bool(checked) and bool((rel <= config["rate_rtol"]).all())
+        rates_checked += len(checked)
 
     assertions = [
         Assertion(
@@ -365,7 +366,8 @@ def _scn_fig4(config, seed):
         Assertion(
             "decay_rates_match",
             rate_pass >= config["required_pass"],
-            f"{rate_pass}/{config['seeds']} seeds matched sigma*lambda within {config['rate_rtol']:.0%}",
+            f"{rate_pass}/{config['seeds']} seeds matched sigma*lambda within "
+            f"{config['rate_rtol']:.0%} ({rates_checked} finite fitted rates checked)",
         ),
     ]
     metrics = {"sequence_pass": sequence_pass, "rate_pass": rate_pass}
@@ -596,7 +598,9 @@ def _scn_phase_lag_ex1(config, seed):
     worst_change = float(per_mode_change.max()) if significant else np.inf
     err = np.abs(term1[1:] - pred1.alpha_inf[1:])
     big = np.abs(pred1.alpha_inf[1:]) > 1e-4
-    match_ok = np.all(err[big] <= config["match_rtol"] * np.abs(pred1.alpha_inf[1:])[big])
+    match_ok = big.any() and np.all(
+        err[big] <= config["match_rtol"] * np.abs(pred1.alpha_inf[1:])[big]
+    )
     # Structural limits ignore the intra-cluster lag entirely.
     omega_spec = basis.vertex_vectors.T @ omega
     plain = omega_spec[struct[1:]] / (sigma * basis.eigenvalues[struct[1:]])

@@ -199,6 +199,33 @@ class TestSimulate:
         assert capsys.readouterr().out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("basis", ["vertex", "coefficient"])
+    @pytest.mark.parametrize("when", ["-0.5", "1.02", "1e308"])
+    def test_rezero_past_the_end_exits_before_integrating(self, tmp_path, capsys,
+                                                           monkeypatch, basis, when):
+        # 100 steps of 0.01 end at t = 1.0; the check needs only --dt and --steps.
+        def refuse(*args):
+            raise AssertionError("ran before the --rezero check")
+
+        for name in ("spectral_basis", "integrate_vertex", "integrate_coefficient"):
+            monkeypatch.setattr(cli, name, refuse)
+        graph = make_path_graph(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--graph", graph, "--omega", "[0, 0, 0]", "--steps", "100",
+                     "--basis", basis, f"--rezero={when}", "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--rezero time outside the trajectory" in captured.err
+        assert not out.exists()
+
+    def test_rezero_at_the_last_sample(self, tmp_path):
+        graph = make_path_graph(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--graph", graph, "--omega", "[0, 0, 0]", "--steps", "100",
+                     "--rezero", "1.0", "--out-dir", str(out)]) == 0
+        times, _ = fileio.read_timeseries_csv(out / "trajectory.csv")
+        assert times.tolist() == [1.0]
+
     def test_bad_dt_exits_2(self, tmp_path):
         graph = make_path_graph(tmp_path)
         assert main(["simulate", "--graph", graph, "--omega", "[0,0,0]",

@@ -90,7 +90,7 @@ class TestVertexIntegration:
         sys_ = two_oscillator_system(sigma=1e308)
         with pytest.raises(BlowUpError) as info:
             integrate_vertex(sys_, np.array([0.3, -0.3]), dt=1.0, steps=10)
-        assert info.value.step == 1
+        assert (info.value.step, info.value.row) == (1, 0)
         path = WeightedGraph(40, [(i, i + 1, 1.0) for i in range(39)])
         sys_ = OscillatorSystem(graph=path, omega=np.zeros(40), sigma=1e307)
         with pytest.raises(BlowUpError) as info:
@@ -101,8 +101,11 @@ class TestVertexIntegration:
         sys_ = two_oscillator_system()
         with pytest.raises(ValueError, match="dt"):
             integrate_vertex(sys_, np.zeros(2), dt=0.0, steps=10)
-        with pytest.raises(ValueError, match="length"):
-            integrate_vertex(sys_, np.zeros(3), dt=0.1, steps=10)
+        for shape in (3, (0, 2), (2, 3), (1, 2, 2)):
+            with pytest.raises(ValueError, match="length"):
+                integrate_vertex(sys_, np.zeros(shape), dt=0.1, steps=10)
+        with pytest.raises(ValueError, match="length"):  # no batches in coefficient form
+            integrate_coefficient(sys_, spectral_basis(sys_.graph), np.zeros((2, 2)), 0.1, 10)
 
     @pytest.mark.parametrize("form", ["vertex", "coefficient"])
     @pytest.mark.parametrize(
@@ -142,15 +145,25 @@ class TestCouplingKernels:
     @pytest.mark.parametrize("density", [0.01, 0.05, 0.2, 0.5, 1.0])
     @pytest.mark.parametrize("lagged", [False, True])
     def test_dense_matches_edge_list(self, density, lagged):
+        # A batch of three rows on each kernel; every row also matches its
+        # own batch-of-one call.
         rng = np.random.default_rng(int(density * 100) + lagged)
         g = graph_at_density(rng, 120, density)
         beta = rng.uniform(-1.0, 1.0, g.m) if lagged else np.zeros(g.m)
-        edge = dynamics._edge_coupling(g, beta)
-        dense = dynamics._dense_coupling(g, beta)
-        for _ in range(3):
-            theta = rng.uniform(-np.pi, np.pi, g.n)
+        edge = dynamics._edge_coupling(g, beta, (3, g.n))
+        dense = dynamics._dense_coupling(g, beta, (3, g.n))
+        for _ in range(2):
+            theta = rng.uniform(-np.pi, np.pi, (3, g.n))
             ref = edge(theta)
-            assert np.abs(dense(theta) - ref).max() <= 1e-12 * np.abs(ref).max()
+            scale = np.abs(ref).max()
+            assert np.abs(dense(theta) - ref).max() <= 1e-12 * scale
+            for shape in ((g.n,), (1, g.n)):
+                for build in (dynamics._edge_coupling, dynamics._dense_coupling):
+                    flow = build(g, beta, shape)
+                    for b in range(3):
+                        row = flow(theta[b].reshape(shape))
+                        assert row.shape == shape
+                        assert np.abs(row - ref[b]).max() <= 1e-12 * scale
 
     def test_dispatch_follows_density(self):
         sbm, _ = sample_sbm(
@@ -166,7 +179,8 @@ class TestCouplingKernels:
         )
         for g, kernel in ((sbm, "edge_flow"), (nested, "dense_flow")):
             sys_ = OscillatorSystem(graph=g, omega=np.zeros(g.n), sigma=1.0)
-            assert dynamics._vertex_coupling(sys_).__name__ == kernel
+            for shape in ((g.n,), (10, g.n)):
+                assert dynamics._vertex_coupling(sys_, shape).__name__ == kernel
 
     @pytest.mark.parametrize("density", [0.02, 0.6])
     def test_trajectories_agree_on_both_kernels(self, density):
@@ -178,9 +192,50 @@ class TestCouplingKernels:
         theta0 = rng.uniform(-np.pi, np.pi, g.n)
         traj = integrate_vertex(sys_, theta0, dt=0.01, steps=500)
         for build in (dynamics._edge_coupling, dynamics._dense_coupling):
-            flow = build(g, beta)
+            flow = build(g, beta, theta0.shape)
             ref = dynamics._rk4(lambda th: omega - 0.7 * flow(th), theta0, 0.01, 500)
             assert np.abs(traj.states - ref).max() < 1e-10
+
+
+class TestBatchedVertexIntegration:
+    @pytest.mark.parametrize("density", [0.02, 0.6])
+    @pytest.mark.parametrize("lagged", [False, True])
+    def test_batch_matches_single_runs(self, density, lagged):
+        rng = np.random.default_rng(50)
+        g = graph_at_density(rng, 60, density)
+        beta = rng.uniform(-0.3, 0.3, g.m) if lagged else None
+        sys_ = OscillatorSystem(graph=g, omega=rng.normal(0.0, 0.5, g.n), sigma=0.7, beta=beta)
+        theta0 = rng.uniform(-np.pi, np.pi, (4, g.n))
+        batch = integrate_vertex(sys_, theta0, dt=0.01, steps=300)
+        assert batch.states.shape == (301, 4, g.n)
+        assert batch.n == g.n
+        for b in range(4):
+            single = integrate_vertex(sys_, theta0[b], dt=0.01, steps=300)
+            assert np.abs(batch.states[:, b] - single.states).max() <= 1e-12
+
+    @pytest.mark.parametrize("density", [0.02, 0.6])
+    def test_batch_of_one_matches_1d(self, density):
+        rng = np.random.default_rng(51)
+        g = graph_at_density(rng, 60, density)
+        sys_ = OscillatorSystem(graph=g, omega=rng.normal(0.0, 0.5, g.n), sigma=0.7)
+        theta0 = rng.uniform(-np.pi, np.pi, g.n)
+        one = integrate_vertex(sys_, theta0[None], dt=0.01, steps=300)
+        flat = integrate_vertex(sys_, theta0, dt=0.01, steps=300)
+        assert one.states.shape == (301, 1, g.n)
+        assert flat.states.shape == (301, g.n)
+        assert np.abs(one.states[:, 0] - flat.states).max() <= 1e-12
+
+    def test_blow_up_names_row_and_step(self):
+        sys_ = two_oscillator_system(sigma=1e308)
+        with pytest.raises(BlowUpError, match="step 1, batch row 1") as info:
+            integrate_vertex(sys_, np.array([[0.0, 0.0], [0.3, -0.3]]), dt=1.0, steps=10)
+        assert (info.value.step, info.value.row) == (1, 1)
+
+    def test_cluster_spread_takes_one_trajectory(self):
+        sys_ = two_oscillator_system()
+        traj = integrate_vertex(sys_, np.zeros((2, 2)), dt=0.1, steps=10)
+        with pytest.raises(ValueError, match="one trajectory"):
+            cluster_spread(traj, VertexPartition([0, 0]), -1)
 
 
 class TestSystemValidation:
@@ -375,6 +430,11 @@ class TestRezero:
                 for row in states[7:]
             ])
             assert np.array_equal(rezero(Trajectory_like(states), 7).states, expected)
+            # A batch (steps + 1, B, n) is rezeroed row by row.
+            batch = rng.uniform(-40.0, 40.0, size=(60, 3, n))
+            out = rezero(Trajectory_like(batch), 7).states
+            for b in range(3):
+                assert np.array_equal(out[:, b], rezero(Trajectory_like(batch[:, b]), 7).states)
 
 
 class TestClusterSpread:

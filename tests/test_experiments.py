@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -195,6 +196,54 @@ class TestSmallRuns:
         res = run_scenario("basis_equivalence", config=dict(SMALL_BASIS_EQ, tol=1e-300), seed=0)
         assert not res.passed
         assert any(not a.passed for a in res.assertions)
+
+
+class TestNoVacuousPasses:
+    """A headline check fails, and its detail says 0 checked, when the
+    selection it checks is empty."""
+
+    @staticmethod
+    def verdict(res, name):
+        return next(a for a in res.assertions if a.name == name)
+
+    @staticmethod
+    def shift_limits(monkeypatch, alpha_inf):
+        real = experiments.asymptotic_coefficients
+
+        def shifted(*args):
+            pred = real(*args)
+            return dataclasses.replace(pred, alpha_inf=alpha_inf(pred.alpha_inf))
+
+        monkeypatch.setattr(experiments, "asymptotic_coefficients", shifted)
+
+    def test_fig4_rate_pass_needs_a_finite_fitted_rate(self, monkeypatch):
+        monkeypatch.setattr(experiments, "fit_decay_rates",
+                            lambda ctraj, *args, **kwargs: np.full(ctraj.n, np.nan))
+        res = run_scenario("fig4_hierarchical", {"seeds": 2, "required_pass": 1, "steps": 600})
+        assert res.metrics["rate_pass"] == 0
+        check = self.verdict(res, "decay_rates_match")
+        assert not check.passed
+        assert "(0 finite fitted rates checked)" in check.detail
+
+    def test_fig4_counts_the_rates_it_checks(self):
+        res = run_scenario("fig4_hierarchical", {"seeds": 1, "required_pass": 1})
+        check = self.verdict(res, "decay_rates_match")
+        assert check.passed
+        assert "(179 finite fitted rates checked)" in check.detail
+
+    def test_fig2_small_limits_need_a_small_mode(self, monkeypatch):
+        self.shift_limits(monkeypatch, lambda alpha: alpha + 1.0)
+        res = run_scenario("fig2_cluster_sync", {"steps": 200})
+        check = self.verdict(res, "small_mode_limits_match")
+        assert not check.passed
+        assert check.detail.startswith("0 modes below 0.1 checked")
+
+    def test_phase_lag_ex1_equilibria_need_a_checked_mode(self, monkeypatch):
+        self.shift_limits(monkeypatch, lambda alpha: 0.0 * alpha)
+        res = run_scenario("phase_lag_ex1", {"steps": 200})
+        check = self.verdict(res, "equilibria_match_prediction")
+        assert not check.passed
+        assert check.detail.startswith("0 modes checked")
 
 
 class TestFig6Construction:
