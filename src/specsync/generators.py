@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, VertexPartition, _bfs_connected, laplacian
+from .graph import WeightedGraph, VertexPartition, _connected, laplacian
 from .equitable import check_aep
 from .spectral import eigendecompose, structural_indices
 
@@ -74,7 +74,7 @@ class PlantedAepConfig:
         # Positive cross weights must connect the quotient, else the graph
         # cannot be connected regardless of intra edges.
         ei, ej = np.nonzero(np.triu(d, 1))
-        if not _bfs_connected(k, ei.astype(np.int64), ej.astype(np.int64)):
+        if not _connected(k, ei.astype(np.int64), ej.astype(np.int64)):
             raise ValueError("positive quotient weights do not connect the cells")
         object.__setattr__(self, "cell_sizes", sizes)
         object.__setattr__(
@@ -311,21 +311,25 @@ class SbmConfig:
 
 
 def sample_sbm(config: SbmConfig) -> tuple[WeightedGraph, VertexPartition]:
-    """Draw one connected SBM sample with its block partition.
-
-    Raises RuntimeError when max_retries consecutive samples come out
-    disconnected (probabilities too sparse).
+    """Draw one connected SBM sample with its block partition: one uniform
+    per pair i < j in row-major order, each row's probabilities one run per
+    contiguous block. Raises RuntimeError when max_retries consecutive
+    samples come out disconnected (probabilities too sparse).
     """
     rng = np.random.default_rng(config.seed)
     sizes = np.asarray(config.block_sizes, dtype=int)
     n = int(sizes.sum())
     assignment = np.repeat(np.arange(sizes.size), sizes)
     pr = np.asarray(config.probabilities, dtype=float)
-    iu, ju = np.triu_indices(n, k=1)
-    probs = pr[assignment[iu], assignment[ju]]
+    rows = np.arange(n)
+    row_start = rows * (2 * n - 1 - rows) // 2  # sum of n - 1 - r over r < i
+    runs = np.clip(np.cumsum(sizes) - 1 - rows[:, None], 0, sizes)
+    probs = np.repeat(pr[assignment].ravel(), runs.ravel())
     for _ in range(config.max_retries):
-        mask = rng.random(probs.size) < probs
-        edges = np.column_stack([iu[mask], ju[mask], np.ones(int(mask.sum()))])
+        hits = np.flatnonzero(rng.random(probs.size) < probs)
+        i = np.repeat(rows, np.diff(np.searchsorted(hits, row_start), append=hits.size))
+        edges = np.ones((hits.size, 3))
+        edges[:, 0], edges[:, 1] = i, hits - row_start[i] + i + 1
         try:
             graph = WeightedGraph(n, edges)
         except ValueError:

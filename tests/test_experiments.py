@@ -246,6 +246,28 @@ class TestNoVacuousPasses:
         assert check.detail.startswith("0 modes checked")
 
 
+class TestNegativeControls:
+    """A headline check fails on an input that breaks the claim it checks,
+    while the scenario's other checks still pass."""
+
+    @staticmethod
+    def verdicts(res):
+        return {a.name: a.passed for a in res.assertions}
+
+    def test_sbm_limit_fails_when_n_shrinks(self):
+        res = run_scenario("sbm_limit", {"sizes": [800, 100]}, seed=0)
+        assert self.verdicts(res) == {
+            "statistic_decreases_with_n": False, "noise_form_identity": True
+        }
+        assert res.metrics["wins"] < scenario_config("sbm_limit")["required"]
+
+    def test_fig2_fails_when_structural_modes_are_not_lowest(self):
+        res = run_scenario("fig2_cluster_sync", {"intra_density": 0.3}, seed=0)
+        verdicts = self.verdicts(res)
+        assert verdicts.pop("structural_modes_are_lowest") is False
+        assert all(verdicts.values()), verdicts
+
+
 class TestFig6Construction:
     def test_discriminant_pattern(self):
         g, p, basis, system, r1, r2 = build_fig6_system(seed=0)

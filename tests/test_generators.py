@@ -224,7 +224,55 @@ class TestPerturb:
             perturb(g, p, eta, seed=0)
 
 
+def reference_sbm(config):
+    """Oracle: the triu_indices sampler, one uniform per pair i < j in
+    row-major order and scipy's component count; None when every draw is
+    disconnected."""
+    pytest.importorskip("scipy")
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(config.seed)
+    sizes = np.asarray(config.block_sizes)
+    n = int(sizes.sum())
+    assignment = np.repeat(np.arange(sizes.size), sizes)
+    iu, ju = np.triu_indices(n, k=1)
+    probs = np.asarray(config.probabilities)[assignment[iu], assignment[ju]]
+    for _ in range(config.max_retries):
+        mask = rng.random(probs.size) < probs
+        adj = coo_matrix((np.ones(int(mask.sum())), (iu[mask], ju[mask])), shape=(n, n))
+        if connected_components(adj, directed=False)[0] == 1:
+            return iu[mask], ju[mask]
+    return None
+
+
 class TestSampleSbm:
+    @pytest.mark.parametrize(
+        "sizes, probabilities",
+        [
+            ((9,), ((0.4,),)),
+            ((6, 11), ((0.6, 0.2), (0.2, 0.5))),
+            ((5, 1, 7), ((0.7, 0.3, 0.2), (0.3, 0.0, 0.4), (0.2, 0.4, 0.5))),
+            ((4, 3, 5), ((1.0, 0.0, 0.3), (0.0, 1.0, 1.0), (0.3, 1.0, 0.0))),
+            ((4, 4), ((0.5, 0.1), (0.1, 0.5))),
+            ((6, 6), ((0.2, 0.0), (0.0, 0.2))),
+        ],
+    )
+    def test_matches_triu_indices_reference(self, sizes, probabilities):
+        for seed in range(6):
+            cfg = SbmConfig(block_sizes=sizes, probabilities=probabilities,
+                            seed=seed, max_retries=5)
+            expected = reference_sbm(cfg)
+            if expected is None:
+                with pytest.raises(RuntimeError, match="connected"):
+                    sample_sbm(cfg)
+                continue
+            g, p = sample_sbm(cfg)
+            assert g.n == sum(sizes) and p.sizes().tolist() == list(sizes)
+            assert g.edge_i.tolist() == expected[0].tolist()
+            assert g.edge_j.tolist() == expected[1].tolist()
+            assert np.all(g.edge_w == 1.0)
+
     def test_all_ones_probabilities_give_complete_graph(self):
         cfg = SbmConfig(block_sizes=(3, 4), probabilities=((1.0, 1.0), (1.0, 1.0)), seed=0)
         g, p = sample_sbm(cfg)

@@ -10,7 +10,7 @@ from specsync import (
     indicator_matrix,
     quotient_matrix,
 )
-from specsync.graph import _bfs_connected
+from specsync.graph import _connected
 
 from conftest import (
     oracle_canonical_edges,
@@ -255,6 +255,36 @@ def _path(n):
     return ei, ei + 1
 
 
+def _bit_reversed(bits):
+    """0 .. 2**bits - 1, each with its bits in reverse order."""
+    v = np.arange(2**bits, dtype=np.int64)
+    return sum(((v >> b) & 1) << (bits - 1 - b) for b in range(bits))
+
+
+RELABELED_SHAPES = ("bit_reversed_path", "random_label_path", "random_label_binary_tree",
+                    "caterpillar")
+
+
+def _relabeled_shape(shape, rng):
+    """A connected 2048-vertex tree labelled so that min-label hooking needs
+    5 to 11 rounds, where the plainly labelled path needs one."""
+    n = 2048
+    if shape == "bit_reversed_path":
+        (ei, ej), labels = _path(n), _bit_reversed(11)
+    elif shape == "random_label_path":
+        (ei, ej), labels = _path(n), rng.permutation(n)
+    elif shape == "random_label_binary_tree":
+        ej = np.arange(1, n, dtype=np.int64)
+        ei, labels = (ej - 1) // 2, rng.permutation(n)
+    elif shape == "caterpillar":
+        # The spine holds the largest labels; each spine vertex has one leaf.
+        spine = np.arange(n // 2, n, dtype=np.int64)
+        ei = np.concatenate([spine[:-1], spine])
+        ej = np.concatenate([spine[1:], rng.permutation(n // 2)])
+        labels = np.arange(n)
+    return labels[ei], labels[ej]
+
+
 class TestConnectivityCheck:
     def test_agrees_with_independent_component_count(self):
         rng = np.random.default_rng(6)
@@ -264,17 +294,25 @@ class TestConnectivityCheck:
             iu, ju = np.triu_indices(n, k=1)
             keep = mask[iu, ju]
             ei, ej = iu[keep].astype(np.int64), ju[keep].astype(np.int64)
-            assert _bfs_connected(n, ei, ej) == scipy_connected(n, ei, ej)
+            assert _connected(n, ei, ej) == scipy_connected(n, ei, ej)
 
     @pytest.mark.parametrize(
         "case",
         ["path", "reversed_path", "broken_path", "star", "star_at_last",
-         "two_components", "isolated_last", "single_vertex"],
+         "two_components", "isolated_last", "single_vertex"]
+        + [prefix + shape for shape in RELABELED_SHAPES for prefix in ("", "broken_")],
     )
     def test_structured_graphs(self, case):
         n = 2000
         ei, ej = _path(n)
-        if case == "reversed_path":
+        shape = case.removeprefix("broken_")
+        if shape in RELABELED_SHAPES:
+            n = 2048
+            ei, ej = _relabeled_shape(shape, np.random.default_rng(9))
+            if case != shape:
+                # A third of the way in: a spine edge of the caterpillar.
+                ei, ej = np.delete(ei, ei.size // 3), np.delete(ej, ej.size // 3)
+        elif case == "reversed_path":
             ei, ej = ej[::-1].copy(), ei[::-1].copy()
         elif case == "broken_path":
             ei, ej = np.delete(ei, n // 2), np.delete(ej, n // 2)
@@ -290,9 +328,19 @@ class TestConnectivityCheck:
             ei, ej = _path(n - 1)
         elif case == "single_vertex":
             n, ei, ej = 1, ei[:0], ej[:0]
-        expected = case not in ("broken_path", "two_components", "isolated_last")
+        expected = not case.startswith("broken_") and case not in (
+            "two_components", "isolated_last"
+        )
         assert scipy_connected(n, ei, ej) == expected
-        assert _bfs_connected(n, ei, ej) == expected
+        assert _connected(n, ei, ej) == expected
+
+    def test_large_permuted_path_builds(self):
+        n = 200_000
+        labels = np.random.default_rng(10).permutation(n)
+        edges = np.column_stack([labels[:-1], labels[1:], np.ones(n - 1)])
+        assert WeightedGraph(n, edges).m == n - 1
+        with pytest.raises(ValueError, match="not connected"):
+            WeightedGraph(n, np.delete(edges, n // 2, axis=0))
 
 
 class TestDegrees:
