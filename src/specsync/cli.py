@@ -248,7 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="partition diagnostics for a graph")
     ana.add_argument("--graph", required=True)
     ana.add_argument("--partition", required=True)
-    ana.add_argument("--tol", type=float, default=1e-9)
+    ana.add_argument("--tol", type=float, default=1e-9,
+                     help="AEP tolerance on max |E|, relative to the largest vertex degree")
     ana.add_argument("--gamma", type=float, default=None,
                      help="also report truncated-approximation bounds at this window")
     ana.add_argument("--out", default=None, help="write the report here instead of stdout")

@@ -42,7 +42,8 @@ class AepReport:
 
     max_deviation is the largest absolute entry of E = P L^pi - L P, i.e.
     the worst per-vertex deviation of an out-weight sum from its cell
-    average; per_vertex_deviations is E itself (n x k).
+    average; per_vertex_deviations is E itself (n x k). is_aep holds when
+    max_deviation <= tol times the largest vertex degree, at any weight scale.
     """
 
     is_aep: bool
@@ -129,16 +130,16 @@ def check_aep(
 
     Equivalent characterizations: every vertex of cell i carries the same
     total edge weight into each other cell j, and the indicator column space
-    is Laplacian-invariant (L P = P L^pi). The report uses the algebraic
-    deviation max |P L^pi - L P|, which is zero exactly when the
-    combinatorial condition holds.
+    is Laplacian-invariant (L P = P L^pi). The report compares the algebraic
+    deviation max |P L^pi - L P|, zero exactly when the combinatorial
+    condition holds, with tol times the largest vertex degree.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     err = equitable_error_matrix(g, partition)
     max_dev = float(np.abs(err).max(initial=0.0))
     return AepReport(
-        is_aep=max_dev <= tol,
+        is_aep=max_dev <= tol * float(degrees(g).max(initial=0.0)),
         max_deviation=max_dev,
         per_vertex_deviations=err,
         tol=tol,

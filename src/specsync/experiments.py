@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass, asdict
 from functools import partial
 from importlib import resources
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -122,15 +123,35 @@ def _table(header: list[str], rows):
     return partial(fileio.write_table, header=header, rows=rows)
 
 
-def _planted_instance(config: dict, seed: int):
-    cfg = PlantedAepConfig(
+def _planted(config: dict, seed: int):
+    """(graph, partition, spectral basis, structural indices) of a planted AEP."""
+    g, p = planted_aep(PlantedAepConfig(
         cell_sizes=tuple(config["cell_sizes"]),
         quotient_weights=tuple(map(tuple, config["quotient_weights"])),
         intra_density=config["intra_density"],
         intra_weight_range=tuple(config["intra_weight_range"]),
         seed=seed,
-    )
-    return planted_aep(cfg)
+    ))
+    basis = spectral_basis(g)
+    return g, p, basis, structural_indices(basis, p)
+
+
+def _relative_match(got, want, select, rtol, atol=0.0, floor=0.0):
+    """(passed, count checked, worst relative error or None) of got against
+    want on the selected entries, each error taken relative to
+    max(|want|, floor). Passes only when the selection is nonempty and every
+    error is within rtol of its scale or within atol."""
+    err = np.abs(got[select] - want[select])
+    scale = np.maximum(np.abs(want[select]), floor)
+    if not err.size:
+        return False, 0, None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        worst = float((err / scale).max())
+    return bool(np.all((err <= rtol * scale) | (err <= atol))), err.size, worst
+
+
+def _fmt(worst, spec=".4f") -> str:
+    return "none (0 checked)" if worst is None else format(worst, spec)
 
 
 def _structural_drive(basis, struct, targets, sigma):
@@ -189,9 +210,7 @@ def _scn_basis_equivalence(config, seed):
 
 
 def _scn_fig2(config, seed):
-    g, p = _planted_instance(config, seed)
-    basis = spectral_basis(g)
-    struct = structural_indices(basis, p)
+    g, p, basis, struct = _planted(config, seed)
     nonstruct = [r for r in range(1, g.n) if r not in struct]
     sigma = config["sigma"]
     omega = _structural_drive(basis, struct, config["target_coeffs"], sigma)
@@ -206,11 +225,9 @@ def _scn_fig2(config, seed):
     energy = float((terminal[nonstruct] ** 2).sum() / (terminal[1:] ** 2).sum())
     traj = reconstruct_trajectory(ctraj)
     spread = float(cluster_spread(traj, p, -1).max())
-    err = np.abs(terminal[1:] - pred.alpha_inf[1:])
-    small = np.abs(pred.alpha_inf[1:]) < 0.1
-    small_ok = small.any() and np.all(
-        (err[small] <= config["match_rtol"] * np.abs(pred.alpha_inf[1:])[small])
-        | (err[small] <= 1e-6)
+    rtol = config["match_rtol"]
+    small_ok, small, _ = _relative_match(
+        terminal[1:], pred.alpha_inf[1:], np.abs(pred.alpha_inf[1:]) < 0.1, rtol, atol=1e-6
     )
     assertions = [
         Assertion(
@@ -231,7 +248,7 @@ def _scn_fig2(config, seed):
         Assertion(
             "small_mode_limits_match",
             small_ok,
-            f"{int(small.sum())} modes below 0.1 checked at {config['match_rtol']:.0%}",
+            f"{small} modes below 0.1 checked at {rtol:.0%}",
         ),
     ]
     metrics = {
@@ -250,8 +267,7 @@ def _scn_fig3(config, seed):
     mags, errs, per_seed = [], [], []
     rows = []
     for s in range(config["seeds"]):
-        g, p = _planted_instance(config, seed + s)
-        basis = spectral_basis(g)
+        g, p, basis, _ = _planted(config, seed + s)
         rng = np.random.default_rng(seed + 100 + s)
         omega = rng.normal(0.0, config["omega_scale"], g.n)
         sys_ = OscillatorSystem(graph=g, omega=omega, sigma=config["sigma"])
@@ -327,30 +343,24 @@ def _scn_fig4(config, seed):
         # Jitter splits deactivation times inside a level, so consecutive
         # intervals sharing a qualitative state are collapsed before
         # comparing against the four expected states.
-        states = []
-        for regime in seg.regimes:
-            label = _classify_active(regime.active, coarse, fine)
-            if not states or states[-1][0] != label:
-                states.append([label, regime.t_start, regime.t_end])
-            else:
-                states[-1][2] = regime.t_end
-            regime_rows.append((s, regime.t_start, regime.t_end, " ".join(map(str, regime.active))))
-        sequence_pass += [st[0] for st in states] == expected_states
+        labels = [_classify_active(regime.active, coarse, fine) for regime in seg.regimes]
+        sequence_pass += [label for label, _ in groupby(labels)] == expected_states
+        regime_rows += [(s, regime.t_start, regime.t_end, " ".join(map(str, regime.active)))
+                        for regime in seg.regimes]
 
-        rates = np.full(g.n, np.nan)
         lo, hi = config["struct_window"]
         rates_late = fit_decay_rates(ctraj, lo, hi, amp_floor=1e-9)
         lo, hi = config["nonstruct_window"]
         rates_early = fit_decay_rates(ctraj, lo, hi, amp_floor=1e-8)
-        for r in range(1, g.n):
-            rates[r] = rates_late[r] if r in fine else rates_early[r]
+        rates = np.where(np.isin(np.arange(g.n), list(fine)), rates_late, rates_early)
         # A seed passes only on at least one finite fitted rate.
         checked = [r for r in range(1, g.n) if r in lone and not np.isnan(rates[r])]
-        rel = np.abs(rates[checked] - sigma * lam[checked]) / (sigma * lam[checked])
-        rate_rows += [(s, r, float(lam[r]), float(rates[r]), float(e))
-                      for r, e in zip(checked, rel)]
-        rate_pass += bool(checked) and bool((rel <= config["rate_rtol"]).all())
-        rates_checked += len(checked)
+        passed, count, _ = _relative_match(rates, sigma * lam, checked, config["rate_rtol"])
+        rate_rows += [(s, r, float(lam[r]), float(rates[r]),
+                       float(abs(rates[r] - sigma * lam[r]) / (sigma * lam[r])))
+                      for r in checked]
+        rate_pass += passed
+        rates_checked += count
 
     assertions = [
         Assertion(
@@ -384,12 +394,16 @@ def _scn_fig5(config, seed):
     chain_total = chain_ok = bound_ok = 0
     mean_scores, mean_spreads = [], []
     rows = []
+    # Each seed's clean instance and its cell-constant drive serve every eta;
+    # only the coupling weights carry the noise.
+    clean = []
+    for s in range(config["seeds"]):
+        g0, p, basis, struct = _planted(config, seed + s)
+        omega = _structural_drive(basis, struct, config["target_coeffs"], config["sigma"])
+        clean.append((g0, p, omega))
     for eta in etas:
         scores, spreads = [], []
-        for s in range(config["seeds"]):
-            g0, p = _planted_instance(config, seed + s)
-            clean_basis = spectral_basis(g0)
-            clean_struct = structural_indices(clean_basis, p)
+        for s, (g0, p, omega) in enumerate(clean):
             g = perturb(g0, p, eta, seed=seed + 50 + s)
             basis = spectral_basis(g)
             report = equitable_error(g, p)
@@ -407,11 +421,6 @@ def _scn_fig5(config, seed):
             for m in report.per_mode:
                 ab = approximation_bound(g, p, basis, (m.eigenvalue, m.vector), gamma)
                 bound_ok += ab.actual_error <= ab.bound * (1 + 1e-10) + 1e-12
-            # Same cell-constant drive as on the clean instance; only the
-            # coupling weights carry the noise.
-            omega = _structural_drive(
-                clean_basis, clean_struct, config["target_coeffs"], config["sigma"]
-            )
             sys_ = OscillatorSystem(graph=g, omega=omega, sigma=config["sigma"])
             rng = np.random.default_rng(seed + 500 + s)
             theta0 = rng.uniform(-config["theta0_scale"], config["theta0_scale"], g.n)
@@ -467,9 +476,7 @@ def build_fig6_system(config: dict | None = None, seed: int = 0):
     """
     if config is None:
         config = _load_default_config("fig6_single_mode")
-    g, p = _planted_instance(config, seed)
-    basis = spectral_basis(g)
-    struct = structural_indices(basis, p)
+    g, p, basis, struct = _planted(config, seed)
     r1, r2 = struct[1], struct[2]
     sigma = config["sigma"]
     overlap = float(basis.edge_vectors[:, r2] @ (g.edge_w * basis.edge_vectors[:, r1] ** 3))
@@ -507,14 +514,9 @@ def _scn_fig6(config, seed):
     )
     cut = int(np.argmax(~valid)) if (~valid).any() else len(t_rel)
     sim = alpha1[anchor:][:cut]
-    if cut:
-        floor = 0.1 * float(np.abs(sim).max())
-        rel_err = float(
-            (np.abs(pred[:cut] - sim) / np.maximum(np.abs(sim), floor)).max()
-        )
-        window = float(t_rel[cut - 1])
-    else:
-        rel_err, window = np.inf, 0.0
+    tracks, _, rel_err = _relative_match(pred[:cut], sim, slice(None), config["track_rtol"],
+                                         floor=0.1 * float(np.abs(sim).max(initial=0.0)))
+    window = float(t_rel[cut - 1]) if cut else 0.0
     gamma1 = abs(
         basis.vertex_vectors[p.cells()[0][0], r1] - basis.vertex_vectors[p.cells()[2][0], r1]
     )
@@ -538,8 +540,9 @@ def _scn_fig6(config, seed):
         ),
         Assertion(
             "tangent_tracks_simulation",
-            rel_err <= config["track_rtol"] and window >= config["min_window_slips"] * slip_period,
-            f"rel err {rel_err:.3f} over {window:.1f} time units (~{window / slip_period:.1f} slips)",
+            tracks and window >= config["min_window_slips"] * slip_period,
+            f"rel err {_fmt(rel_err, '.3f')} over {window:.1f} time units "
+            f"(~{window / slip_period:.1f} slips)",
         ),
     ]
     metrics = {
@@ -573,60 +576,52 @@ def _scn_fig6(config, seed):
 
 
 def _scn_phase_lag_ex1(config, seed):
-    g, p = _planted_instance(config, seed)
-    basis = spectral_basis(g)
-    struct = structural_indices(basis, p)
-    nonstruct = [r for r in range(1, g.n) if r not in struct]
+    g, p, basis, struct = _planted(config, seed)
     intra = p.assignment[g.edge_i] == p.assignment[g.edge_j]
     beta = np.where(intra, config["beta_intra"], 0.0)
     sigma = config["sigma"]
     omega = _structural_drive(basis, struct, config["target_coeffs"], sigma)
 
-    outcomes = {}
-    for mult in (1.0, 2.0):
-        sys_ = OscillatorSystem(graph=g, omega=omega, sigma=sigma * mult, beta=beta)
-        pred = asymptotic_coefficients(sys_, basis)
-        ctraj = integrate_coefficient(sys_, basis, np.zeros(g.n), config["dt"], config["steps"])
-        outcomes[mult] = (ctraj.coeffs[-1], pred)
-    term1, pred1 = outcomes[1.0]
-    term2, _ = outcomes[2.0]
+    systems = [OscillatorSystem(graph=g, omega=omega, sigma=sigma * mult, beta=beta)
+               for mult in (1.0, 2.0)]
+    term1, term2 = (integrate_coefficient(sys_, basis, np.zeros(g.n), config["dt"],
+                                          config["steps"]).coeffs[-1] for sys_ in systems)
+    pred1 = asymptotic_coefficients(systems[0], basis)
 
-    significant = [r for r in nonstruct if abs(term1[r]) > 1e-4]
-    per_mode_change = np.abs(
-        (term2[significant] - term1[significant]) / term1[significant]
+    rtol = config["match_rtol"]
+    significant = [r for r in range(1, g.n) if r not in struct and abs(term1[r]) > 1e-4]
+    invariant, n_significant, worst_change = _relative_match(
+        term2, term1, significant, config["sigma_change_tol"]
     )
-    worst_change = float(per_mode_change.max()) if significant else np.inf
-    err = np.abs(term1[1:] - pred1.alpha_inf[1:])
-    big = np.abs(pred1.alpha_inf[1:]) > 1e-4
-    match_ok = big.any() and np.all(
-        err[big] <= config["match_rtol"] * np.abs(pred1.alpha_inf[1:])[big]
+    match_ok, matched, _ = _relative_match(
+        term1[1:], pred1.alpha_inf[1:], np.abs(pred1.alpha_inf[1:]) > 1e-4, rtol
     )
     # Structural limits ignore the intra-cluster lag entirely.
     omega_spec = basis.vertex_vectors.T @ omega
     plain = omega_spec[struct[1:]] / (sigma * basis.eigenvalues[struct[1:]])
-    struct_err = np.abs(term1[struct[1:]] - plain) / np.abs(plain)
+    lag_free, _, struct_err = _relative_match(term1[struct[1:]], plain, slice(None), rtol)
 
     assertions = [
         Assertion(
             "nonstructural_sigma_invariant",
-            worst_change <= config["sigma_change_tol"],
-            f"max change over {len(significant)} modes = {worst_change:.4f} "
+            invariant,
+            f"max change over {n_significant} modes = {_fmt(worst_change)} "
             f"(tol {config['sigma_change_tol']})",
         ),
         Assertion(
             "equilibria_match_prediction",
             match_ok,
-            f"{int(big.sum())} modes checked at {config['match_rtol']:.0%}",
+            f"{matched} modes checked at {rtol:.0%}",
         ),
         Assertion(
             "structural_limits_lag_free",
-            struct_err.max() <= config["match_rtol"],
-            f"max structural deviation from omega/(lambda sigma) = {struct_err.max():.4f}",
+            lag_free,
+            f"max structural deviation from omega/(lambda sigma) = {_fmt(struct_err)}",
         ),
     ]
     metrics = {
-        "max_sigma_change": worst_change if significant else None,
-        "significant_nonstructural": len(significant),
+        "max_sigma_change": worst_change,
+        "significant_nonstructural": n_significant,
     }
     rows = [(r, float(term1[r]), float(pred1.alpha_inf[r]), r in struct) for r in range(1, g.n)]
     files = {"equilibria.csv": _table(["mode", "simulated", "predicted", "structural"], rows)}
@@ -659,8 +654,8 @@ def _scn_phase_lag_ex2(config, seed):
     formula_dev = float(np.abs(pred.alpha_inf[1:] - closed).max())
     ctraj = integrate_coefficient(sys_, basis, np.zeros(g.n), config["dt"], config["steps"])
     terminal = ctraj.coeffs[-1][1:]
-    big = np.abs(closed) > 1e-3
-    rel = np.abs(terminal[big] - closed[big]) / np.abs(closed[big])
+    rtol = config["match_rtol"]
+    match_ok, checked, worst = _relative_match(terminal, closed, np.abs(closed) > 1e-3, rtol)
     assertions = [
         Assertion(
             "uniform_weight_formula_is_exact",
@@ -669,11 +664,11 @@ def _scn_phase_lag_ex2(config, seed):
         ),
         Assertion(
             "simulated_equilibria_match",
-            rel.max() <= config["match_rtol"],
-            f"max rel err over {int(big.sum())} modes = {rel.max():.4f} (tol {config['match_rtol']})",
+            match_ok,
+            f"max rel err over {checked} modes = {_fmt(worst)} (tol {rtol})",
         ),
     ]
-    metrics = {"max_rel_err": float(rel.max()), "modes_checked": int(big.sum())}
+    metrics = {"max_rel_err": worst, "modes_checked": checked}
     rows = [(r + 1, float(terminal[r]), float(closed[r])) for r in range(g.n - 1)]
     files = {"equilibria.csv": _table(["mode", "simulated", "closed_form"], rows)}
     return assertions, metrics, files

@@ -62,6 +62,8 @@ def write_table(path, header, rows) -> None:
 
 
 def _write_timeseries(path, times: np.ndarray, series: np.ndarray, prefix: str) -> None:
+    if series.ndim != 2:
+        raise ValueError("a trajectory CSV holds one trajectory; pass states[:, b] of a batch")
     # Python floats format faster than numpy scalars; one row at a time
     # keeps the memory of a whole-array tolist() away.
     header = ["t", *(f"{prefix}_{i}" for i in range(series.shape[1]))]

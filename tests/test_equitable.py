@@ -17,7 +17,9 @@ from specsync import (
     equitable_error_matrix,
     approximation_bound,
     qep_score,
+    degrees,
     planted_aep,
+    scenario_config,
     perturb,
     sample_sbm,
     SbmConfig,
@@ -77,7 +79,7 @@ class TestCheckAep:
             p = random_partition(rng, g.n)
             report = check_aep(g, p)
             oracle = combinatorial_max_deviation(g, p)
-            assert report.is_aep == (oracle <= 1e-9)
+            assert report.is_aep == (oracle <= 1e-9 * degrees(g).max())
             # Off-cell columns of E are exactly the combinatorial deviations.
             off_cell = report.per_vertex_deviations.copy()
             off_cell[np.arange(g.n), p.assignment] = 0.0
@@ -100,6 +102,22 @@ class TestCheckAep:
             if not check_aep(g, p).is_aep:
                 failures += 1
         assert failures == 100
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_verdict_does_not_depend_on_weight_units(self, scale):
+        # fig2's planted AEP at seed 0 and its eta = 0.01 perturbation.
+        cfg = scenario_config("fig2_cluster_sync")
+        g, p = planted_aep(PlantedAepConfig(
+            cell_sizes=tuple(cfg["cell_sizes"]),
+            quotient_weights=tuple(map(tuple, cfg["quotient_weights"])),
+            intra_density=cfg["intra_density"],
+            intra_weight_range=tuple(cfg["intra_weight_range"]),
+            seed=0,
+        ))
+        for graph, exact in ((g, True), (perturb(g, p, 0.01, seed=0), False)):
+            scaled = WeightedGraph(g.n, np.column_stack(
+                [graph.edge_i, graph.edge_j, scale * graph.edge_w]))
+            assert check_aep(scaled, p).is_aep is exact
 
 
 class TestEdgeForm:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from specsync import available_scenarios, experiments, fileio, run_scenario, scenario_config
+from specsync.cli import main
 from specsync.experiments import Assertion, build_fig6_system
 
 
@@ -179,7 +180,8 @@ class TestSmallRuns:
 
     @pytest.mark.parametrize(
         "name, config",
-        [("fig6_single_mode", None), ("fig4_hierarchical", {"seeds": 1, "required_pass": 1})],
+        [("fig6_single_mode", {"t_final": 30.0}),
+         ("fig4_hierarchical", {"seeds": 1, "required_pass": 1})],
     )
     def test_result_json_round_trips(self, tmp_path, name, config):
         res = run_scenario(name, config=config, seed=0, out_dir=tmp_path)
@@ -245,6 +247,35 @@ class TestNoVacuousPasses:
         assert not check.passed
         assert check.detail.startswith("0 modes checked")
 
+    @staticmethod
+    def reject_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    @pytest.mark.parametrize("name, config, check, metric", [
+        ("phase_lag_ex2", {"omega_contrast": 0.0, "beta_scale": 0.0},
+         "simulated_equilibria_match", "max_rel_err"),
+        # One cell: no nonzero structural mode to compare.
+        ("phase_lag_ex1", {"cell_sizes": [15], "quotient_weights": [[0.0]]},
+         "structural_limits_lag_free", None),
+        # A margin no sample meets: an empty tracking window.
+        ("fig6_single_mode", {"margin_frac": 1e-6, "t_final": 30.0},
+         "tangent_tracks_simulation", "tracking_rel_err"),
+    ], ids=["phase_lag_ex2", "phase_lag_ex1", "fig6_single_mode"])
+    def test_empty_selection_is_a_clean_failure(self, tmp_path, capsys, name, config, check,
+                                                metric):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        assert main(["experiment", name, "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert f"{name}: FAIL" in capsys.readouterr().out
+        text = (out / name / "result.json").read_text()
+        payload = json.loads(text, parse_constant=self.reject_constant)
+        verdict = next(a for a in payload["assertions"] if a["name"] == check)
+        assert verdict["passed"] is False
+        assert "none (0 checked)" in verdict["detail"]
+        if metric is not None:
+            assert payload["metrics"][metric] is None
+
 
 class TestNegativeControls:
     """A headline check fails on an input that breaks the claim it checks,
@@ -266,6 +297,21 @@ class TestNegativeControls:
         verdicts = self.verdicts(res)
         assert verdicts.pop("structural_modes_are_lowest") is False
         assert all(verdicts.values()), verdicts
+
+    @pytest.mark.parametrize("name, baseline, control, failing", [
+        # Noise growing along the sweep: the QEP score and spreads grow too.
+        ("fig5_qep", {"etas": [0.2, 0.01], "seeds": 2}, {"etas": [0.01, 0.2], "seeds": 2},
+         {"qep_score_monotone", "cluster_spread_monotone"}),
+        # A drive the slip mode can lock to: no negative discriminant, no slips.
+        ("fig6_single_mode", {"t_final": 30.0}, {"drive_ratio": 1.0, "t_final": 30.0},
+         {"discriminant_pattern", "persistent_oscillation", "tangent_tracks_simulation"}),
+        # Lags too large for the linearized equilibria.
+        ("phase_lag_ex2", {}, {"beta_scale": 0.5}, {"simulated_equilibria_match"}),
+    ], ids=["fig5_qep", "fig6_single_mode", "phase_lag_ex2"])
+    def test_control_fails_only_its_checks(self, name, baseline, control, failing):
+        assert run_scenario(name, baseline, seed=0).passed
+        verdicts = self.verdicts(run_scenario(name, control, seed=0))
+        assert {check for check, passed in verdicts.items() if not passed} == failing
 
 
 class TestFig6Construction:

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from specsync import (
+    CoefficientTrajectory,
+    OscillatorSystem,
     Trajectory,
     WeightedGraph,
     VertexPartition,
     spectral_basis,
     decompose_trajectory,
+    integrate_vertex,
 )
 from specsync import fileio
 
@@ -66,6 +69,17 @@ class TestTrajectoryCsv:
         coeff_path = tmp_path / "coeffs.csv"
         fileio.write_coefficient_csv(decompose_trajectory(traj, spectral_basis(g)), coeff_path)
         assert coeff_path.read_text().splitlines()[0] == "t,alpha_0,alpha_1"
+
+    def test_batched_trajectory_rejected_before_writing(self, tmp_path, path3):
+        system = OscillatorSystem(graph=path3, omega=np.zeros(3), sigma=1.0)
+        batch = integrate_vertex(system, np.zeros((2, 3)), 0.1, 4)
+        coeffs = CoefficientTrajectory(batch.t0, batch.dt, batch.states, spectral_basis(path3))
+        for write, traj in ((fileio.write_phase_csv, batch),
+                            (fileio.write_coefficient_csv, coeffs)):
+            path = tmp_path / "batch.csv"
+            with pytest.raises(ValueError, match="one trajectory"):
+                write(traj, path)
+            assert not path.exists()
 
 
 class TestStreamedTrajectoryCsv:
