@@ -26,7 +26,10 @@ one real matrix product per call, of the stacked rows [S; C] with Kc, or
 with [Kc, Ks] when there is lag. Sparse graphs gather the m edge terms and
 scatter them with bincount, O(m) per call. The coefficient form stays in
 edge space as written above, so comparing the two forms remains an
-independent check.
+independent check. Its two matrices are built once per run: edge_phase,
+the (m, n) edge vectors with mode 0's column zeroed, and gain = sigma
+(W edge_phase)^T, whose row 0 is then zero, so mode 0 is uncoupled. One
+call is V^T omega - gain sin(edge_phase alpha + beta): two small products.
 
 integrate_vertex also advances a batch of B initial states on one system:
 theta0 of shape (B, n) gives states of shape (steps + 1, B, n), with one
@@ -302,25 +305,26 @@ def integrate_coefficient(
     The basis must come from system.graph. Mode 0 is uncoupled and advances
     at sqrt(n) * mean(omega); an arbitrary alpha_0(0) intercept is carried
     additively. Reconstructing theta = V alpha reproduces integrate_vertex
-    output from theta0 = V alpha0 up to floating-point roundoff.
+    output from theta0 = V alpha0 up to floating-point roundoff. The edge
+    phases take beta only when it is not all zero.
     """
     if basis.edge_vectors is None:
         raise ValueError("basis carries no edge vectors; build it from the graph")
     if basis.n != system.graph.n or basis.m != system.graph.m:
         raise ValueError("basis does not match the system graph")
     alpha0 = _initial_state(np.asarray(alpha0, dtype=float), "alpha0", (basis.n,), dt, steps)
-    w = system.graph.edge_w
-    sigma, beta = system.sigma, system.beta
     omega_spec = basis.vertex_vectors.T @ system.omega
-    evec = basis.edge_vectors          # (m, n)
-    evec_pos = evec[:, 1:]             # modes s >= 1 drive the edge phases
+    # Mode 0's zero column: it drives no edge phase, and gain's row 0 is zero.
+    edge_phase = basis.edge_vectors.copy()                                 # (m, n)
+    edge_phase[:, 0] = 0.0
+    gain = system.sigma * (system.graph.edge_w[:, None] * edge_phase).T   # (n, m)
+    beta, lagged = system.beta, bool(system.beta.any())
 
     def rhs(alpha):
-        edge_phase = evec_pos @ alpha[1:] + beta
-        s = w * np.sin(edge_phase)
-        coupling = evec.T @ s
-        coupling[0] = 0.0
-        return omega_spec - sigma * coupling
+        phase = edge_phase @ alpha
+        if lagged:
+            phase += beta
+        return omega_spec - gain @ np.sin(phase)
 
     return CoefficientTrajectory(
         t0=0.0, dt=float(dt), coeffs=_rk4(rhs, alpha0, dt, steps), basis=basis

@@ -112,10 +112,14 @@ def _fits(default, value) -> bool:
     return want != "array" or not default or all(any(_fits(d, v) for d in default) for v in value)
 
 
-def _spearman(x, y) -> float:
-    rx = np.argsort(np.argsort(x))
-    ry = np.argsort(np.argsort(y))
-    return float(np.corrcoef(rx, ry)[0, 1])
+def _spearman(x, y) -> float | None:
+    """Rank correlation, tied values sharing their average rank; None when
+    x or y is constant and so has no correlation."""
+    ranks = np.empty((2, len(x)))
+    for row, v in zip(ranks, (x, y)):
+        _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+        row[:] = (np.cumsum(counts) - (counts + 1) / 2)[inverse]
+    return float(np.corrcoef(ranks)[0, 1]) if np.ptp(ranks, axis=1).all() else None
 
 
 def _table(header: list[str], rows):
@@ -286,8 +290,9 @@ def _scn_fig3(config, seed):
     assertions = [
         Assertion(
             "error_grows_with_magnitude",
-            pooled >= config["min_spearman"],
-            f"pooled Spearman = {pooled:.3f} (min {config['min_spearman']})",
+            pooled is not None and pooled >= config["min_spearman"],
+            f"pooled Spearman = {'undefined' if pooled is None else format(pooled, '.3f')} "
+            f"(min {config['min_spearman']})",
         )
     ]
     metrics = {"pooled_spearman": pooled, "per_seed_spearman": per_seed}

@@ -282,6 +282,46 @@ class TestCoefficientIntegration:
         expected = 0.3 + np.sqrt(g.n) * delta * ctraj.times
         assert np.abs(ctraj.coeffs[:, 0] - expected).max() < 1e-10
 
+    @pytest.mark.parametrize("lagged", [False, True])
+    def test_mode_zero_is_uncoupled(self, lagged):
+        # Mode 0 neither drives the edge phases nor feels the coupling: the
+        # other modes do not see its intercept, and it grows at sqrt(n) mean(omega).
+        rng = np.random.default_rng(37)
+        g = random_connected_graph(rng, n_max=10, n_min=5)
+        beta = rng.uniform(-0.3, 0.3, size=g.m) if lagged else None
+        sys_ = OscillatorSystem(graph=g, omega=rng.normal(size=g.n), sigma=1.3, beta=beta)
+        basis = spectral_basis(g)
+        alpha0 = rng.uniform(-0.5, 0.5, size=g.n)
+        alpha0[0] = 0.0
+        low = integrate_coefficient(sys_, basis, alpha0, dt=0.01, steps=400)
+        alpha0[0] = 1e8
+        high = integrate_coefficient(sys_, basis, alpha0, dt=0.01, steps=400)
+        assert np.array_equal(low.coeffs[:, 1:], high.coeffs[:, 1:])
+        drift = np.sqrt(g.n) * sys_.omega.mean() * high.times
+        assert np.abs(low.coeffs[:, 0] - drift).max() < 1e-10
+        # RK4 sums each step's increment into 1e8, one roundoff (7.5e-9) at a time.
+        assert np.abs(high.coeffs[:, 0] - (1e8 + drift)).max() <= 1e-13 * 1e8
+
+    def test_uncoupled_is_exact_linear_growth(self):
+        rng = np.random.default_rng(38)
+        g = random_connected_graph(rng, n_max=10, n_min=5)
+        beta = rng.uniform(-0.3, 0.3, size=g.m)
+        sys_ = OscillatorSystem(graph=g, omega=rng.normal(size=g.n), sigma=0.0, beta=beta)
+        basis = spectral_basis(g)
+        alpha0 = rng.uniform(-0.5, 0.5, size=g.n)
+        ctraj = integrate_coefficient(sys_, basis, alpha0, dt=0.01, steps=300)
+        omega_spec = basis.vertex_vectors.T @ sys_.omega
+        expected = alpha0 + ctraj.times[:, None] * omega_spec
+        assert np.abs(ctraj.coeffs - expected).max() < 1e-12
+
+    def test_blow_up_reports_step(self):
+        sys_ = two_oscillator_system(sigma=1e308)
+        basis = spectral_basis(sys_.graph)
+        alpha0 = decompose(np.array([0.3, -0.3]), basis)
+        with pytest.raises(BlowUpError, match="step 1, batch row 0") as info:
+            integrate_coefficient(sys_, basis, alpha0, dt=1.0, steps=10)
+        assert (info.value.step, info.value.row) == (1, 0)
+
     def test_matches_vertex_integration(self):
         rng = np.random.default_rng(34)
         for trial in range(5):

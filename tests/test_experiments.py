@@ -276,6 +276,29 @@ class TestNoVacuousPasses:
         if metric is not None:
             assert payload["metrics"][metric] is None
 
+    def test_fig3_constant_errors_have_no_rank_correlation(self, tmp_path, capsys):
+        # No drive: every predicted limit and every error is 0, and ties in
+        # index order used to rank them as a perfect correlation.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"omega_scale": 0.0, "seeds": 2, "steps": 200}))
+        out = tmp_path / "runs"
+        name = "fig3_linearization_error"
+        assert main(["experiment", name, "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert f"{name}: FAIL" in capsys.readouterr().out
+        text = (out / name / "result.json").read_text()
+        payload = json.loads(text, parse_constant=self.reject_constant)
+        verdict = payload["assertions"][0]
+        assert verdict["name"] == "error_grows_with_magnitude" and verdict["passed"] is False
+        assert "undefined" in verdict["detail"]
+        assert payload["metrics"]["pooled_spearman"] is None
+        assert payload["metrics"]["per_seed_spearman"] == [None, None]
+
+    def test_spearman_ranks_ties_by_their_average(self):
+        assert experiments._spearman([1.0, 1.0, 2.0], [1.0, 2.0, 3.0]) == pytest.approx(
+            np.sqrt(3) / 2, abs=1e-15)
+        assert experiments._spearman([3.0, 1.0, 2.0], [0.3, 0.1, 0.2]) == pytest.approx(1.0)
+        assert experiments._spearman([0.5, 0.5], [1.0, 2.0]) is None
+
 
 class TestNegativeControls:
     """A headline check fails on an input that breaks the claim it checks,
@@ -307,7 +330,18 @@ class TestNegativeControls:
          {"discriminant_pattern", "persistent_oscillation", "tangent_tracks_simulation"}),
         # Lags too large for the linearized equilibria.
         ("phase_lag_ex2", {}, {"beta_scale": 0.5}, {"simulated_equilibria_match"}),
-    ], ids=["fig5_qep", "fig6_single_mode", "phase_lag_ex2"])
+        # Coupling too stiff for the step (sigma lambda_max dt = 8.9, past
+        # RK4's 2.8): the run never settles, and its errors, O(1) and
+        # chaotic, do not follow the limits' magnitudes.
+        ("fig3_linearization_error", {"seeds": 3}, {"seeds": 3, "sigma": 100.0},
+         {"error_grows_with_magnitude"}),
+        # A drive beyond locking: no equilibrium to match, and the
+        # coefficients drift with sigma and with the lag.
+        ("phase_lag_ex1", {}, {"target_coeffs": [3.0, 2.0]},
+         {"nonstructural_sigma_invariant", "equilibria_match_prediction",
+          "structural_limits_lag_free"}),
+    ], ids=["fig5_qep", "fig6_single_mode", "phase_lag_ex2", "fig3_linearization_error",
+            "phase_lag_ex1"])
     def test_control_fails_only_its_checks(self, name, baseline, control, failing):
         assert run_scenario(name, baseline, seed=0).passed
         verdicts = self.verdicts(run_scenario(name, control, seed=0))
