@@ -37,7 +37,6 @@ __all__ = [
     "LinearPrediction",
     "DiscriminantEntry",
     "Regime",
-    "RegimeSegmentation",
     "asymptotic_coefficients",
     "linear_solution",
     "discriminant_report",
@@ -58,8 +57,6 @@ class LinearPrediction:
                  NaN at r = 0 where the mode drifts linearly instead.
     """
 
-    sigma: float
-    eigenvalues: np.ndarray
     omega_spec: np.ndarray
     lag_spec: np.ndarray
     decay_rates: np.ndarray
@@ -87,13 +84,6 @@ class Regime:
     active: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RegimeSegmentation:
-    """Ordered regimes partitioning the trajectory time range."""
-
-    regimes: tuple[Regime, ...]
-
-
 def asymptotic_coefficients(
     system: OscillatorSystem, basis: SpectralBasis
 ) -> LinearPrediction:
@@ -108,8 +98,6 @@ def asymptotic_coefficients(
     alpha_inf = np.full(basis.n, np.nan)
     alpha_inf[1:] = (omega_spec[1:] - system.sigma * lag_spec[1:]) / decay[1:]
     return LinearPrediction(
-        sigma=system.sigma,
-        eigenvalues=basis.eigenvalues,
         omega_spec=omega_spec,
         lag_spec=lag_spec,
         decay_rates=decay,
@@ -119,8 +107,8 @@ def asymptotic_coefficients(
 
 def linear_solution(pred: LinearPrediction, r: int, alpha_r0: float, t):
     """Evaluate the linearized solution of mode r at time(s) t."""
-    if not 1 <= r < pred.eigenvalues.size:
-        raise ValueError(f"mode index must be in 1..{pred.eigenvalues.size - 1}, got {r}")
+    if not 1 <= r < pred.decay_rates.size:
+        raise ValueError(f"mode index must be in 1..{pred.decay_rates.size - 1}, got {r}")
     rate = pred.decay_rates[r]
     if rate <= 0:
         raise ValueError("linearized solution requires a positive eigenvalue")
@@ -232,23 +220,19 @@ def single_mode_solution(
 
 def segment_regimes(
     sim: CoefficientTrajectory,
-    threshold: float | None = None,
+    threshold: float,
     min_dwell: float = 5.0,
-) -> RegimeSegmentation:
+) -> tuple[Regime, ...]:
     """Partition a trajectory into maximal intervals of constant mode activity.
 
-    Mode r >= 1 is active at a sample when |alpha_r| > threshold (default:
-    2% of the largest terminal |alpha_r|, r >= 1). Runs of a constant active
-    set shorter than min_dwell are absorbed into their neighbor, so brief
-    threshold flickers do not fragment the segmentation. The returned
-    intervals tile [t0, t_end].
+    Mode r >= 1 is active at a sample when |alpha_r| > threshold. Runs of a
+    constant active set shorter than min_dwell are absorbed into their
+    neighbor, so brief threshold flickers do not fragment the segmentation.
+    The returned regimes, in time order, tile [t0, t_end].
     """
-    coeffs = sim.coeffs
-    if threshold is None:
-        threshold = 0.02 * np.abs(coeffs[-1, 1:]).max(initial=0.0)
-    elif threshold <= 0:
+    if threshold <= 0:
         raise ValueError("threshold must be positive")
-    active = np.abs(coeffs[:, 1:]) > threshold  # (samples, n-1)
+    active = np.abs(sim.coeffs[:, 1:]) > threshold  # (samples, n-1)
 
     # Run-length encode the per-sample active sets.
     changes = np.flatnonzero(np.any(active[1:] != active[:-1], axis=1)) + 1
@@ -282,17 +266,14 @@ def segment_regimes(
         runs = merged
 
     times = sim.times
-    regimes = []
-    for s, e, modes in runs:
-        t_end = times[e - 1] if e == len(times) else times[e]
-        regimes.append(
-            Regime(
-                t_start=float(times[s]),
-                t_end=float(t_end),
-                active=tuple(sorted(modes)),
-            )
+    return tuple(
+        Regime(
+            t_start=float(times[s]),
+            t_end=float(times[e - 1] if e == len(times) else times[e]),
+            active=tuple(sorted(modes)),
         )
-    return RegimeSegmentation(regimes=tuple(regimes))
+        for s, e, modes in runs
+    )
 
 
 def fit_decay_rates(

@@ -108,7 +108,7 @@ def _cmd_analyze(args) -> None:
         "k": partition.k,
         "is_aep": aep.is_aep,
         "max_deviation": aep.max_deviation,
-        "tol": aep.tol,
+        "tol": args.tol,
         "sigma1": err.sigma1,
         "max_row_sum": err.max_row_sum,
         "qep_score": qep_score(graph, partition),
@@ -117,10 +117,8 @@ def _cmd_analyze(args) -> None:
     }
     if basis is not None:
         report["approximation_bounds"] = [
-            _record(
-                approximation_bound(graph, partition, basis, (m.eigenvalue, m.vector), args.gamma),
-                "truncated",
-            )
+            asdict(approximation_bound(graph, partition, basis, (m.eigenvalue, m.vector),
+                                       args.gamma))
             for m in err.per_mode
         ]
     _emit_report(report, args)

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, degrees
 from .spectral import SpectralBasis
 
 __all__ = [
@@ -176,11 +176,18 @@ def _rk4(rhs, y0: np.ndarray, dt: float, steps: int) -> np.ndarray:
     return out
 
 
-def _initial_state(state: np.ndarray, name: str, shape: tuple, dt, steps) -> np.ndarray:
+def _initial_state(system: OscillatorSystem, state: np.ndarray, name: str, shape: tuple,
+                   dt, steps) -> np.ndarray:
     """Check an integrator's run inputs against the initial state's shape.
 
     Non-finite inputs would otherwise surface as a BlowUpError at step 1,
-    and a non-integer step count as a TypeError inside the RK4 loop.
+    and a non-integer step count as a TypeError inside the RK4 loop. Both
+    forms have the Jacobian -sigma L_c, L_c the Laplacian with weights
+    A_ij cos(theta_i - theta_j + beta_ij), whose eigenvalues lie within
+    2 d_max of zero (Gershgorin; d_max the largest weighted degree). RK4 is
+    stable on the negative real axis down to -2.785 (Hairer and Wanner,
+    Solving ODEs II, Sec. IV.2); past that, sin keeps the run bounded and
+    its errors silent, so such a step is rejected.
     """
     if state.shape != shape or not state.size:
         raise ValueError(f"{name} length does not match the system size {shape[-1]}: {state.shape}")
@@ -190,6 +197,10 @@ def _initial_state(state: np.ndarray, name: str, shape: tuple, dt, steps) -> np.
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    reach = 2.0 * float(degrees(system.graph).max())
+    if system.sigma * reach * float(dt) > 2.785:
+        raise ValueError(f"sigma {system.sigma:g} x 2 d_max {reach:g} x dt {float(dt):g} "
+                         "is past RK4's stability limit 2.785; take a smaller dt")
     return state
 
 
@@ -283,7 +294,7 @@ def integrate_vertex(
     """
     theta0 = np.asarray(theta0, dtype=float)
     batch = theta0.shape[:1] if theta0.ndim == 2 else ()
-    theta0 = _initial_state(theta0, "theta0", batch + (system.graph.n,), dt, steps)
+    theta0 = _initial_state(system, theta0, "theta0", batch + (system.graph.n,), dt, steps)
     omega, sigma = system.omega, system.sigma
     flow = _vertex_coupling(system, theta0.shape)
 
@@ -312,7 +323,8 @@ def integrate_coefficient(
         raise ValueError("basis carries no edge vectors; build it from the graph")
     if basis.n != system.graph.n or basis.m != system.graph.m:
         raise ValueError("basis does not match the system graph")
-    alpha0 = _initial_state(np.asarray(alpha0, dtype=float), "alpha0", (basis.n,), dt, steps)
+    alpha0 = _initial_state(system, np.asarray(alpha0, dtype=float), "alpha0", (basis.n,),
+                            dt, steps)
     omega_spec = basis.vertex_vectors.T @ system.omega
     # Mode 0's zero column: it drives no edge phase, and gain's row 0 is zero.
     edge_phase = basis.edge_vectors.copy()                                 # (m, n)

@@ -49,7 +49,6 @@ class AepReport:
     is_aep: bool
     max_deviation: float
     per_vertex_deviations: np.ndarray
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,8 @@ class ApproximationBoundReport:
     retained holds the indices i with |lambda_i - lambda| <= gamma; the
     approximation u is the projection of P v onto those eigenvectors, and
     actual_error = ||P v - u|| <= bound = (delta / gamma) sqrt(n - |A|)
-    with delta = ||E v||.
+    with delta = ||E v||. The eigenvectors are orthonormal, so ||P v - u||
+    is the norm of P v's coefficients outside the window.
     """
 
     eigenvalue: float
@@ -95,7 +95,6 @@ class ApproximationBoundReport:
     delta: float
     actual_error: float
     bound: float
-    truncated: np.ndarray
 
 
 def _error_and_quotient(g: WeightedGraph, partition: VertexPartition):
@@ -142,7 +141,6 @@ def check_aep(
         is_aep=max_dev <= tol * float(degrees(g).max(initial=0.0)),
         max_deviation=max_dev,
         per_vertex_deviations=err,
-        tol=tol,
     )
 
 
@@ -180,9 +178,9 @@ def approximation_bound(
     """Bound the truncation error of P v in a spectral window around lambda.
 
     mode is a quotient eigenpair (lambda, v); v is used exactly as supplied.
-    Retains eigenvectors of L with eigenvalues within gamma of lambda,
-    projects P v onto them, and reports the actual truncation error next to
-    the guaranteed bound (||E v|| / gamma) sqrt(n - |retained|).
+    Retains eigenvectors of L with eigenvalues within gamma of lambda and
+    reports the actual error of projecting P v onto them next to the
+    guaranteed bound (||E v|| / gamma) sqrt(n - |retained|).
     """
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
@@ -194,20 +192,17 @@ def approximation_bound(
         raise ValueError("quotient eigenvector length does not match cell count")
     err = equitable_error_matrix(g, partition)
     delta = float(np.linalg.norm(err @ v))
-    lifted = v[partition.assignment]
-    coeffs = basis.vertex_vectors.T @ lifted
-    retained = np.flatnonzero(np.abs(basis.eigenvalues - lam) <= gamma)
-    truncated = basis.vertex_vectors[:, retained] @ coeffs[retained]
-    actual = float(np.linalg.norm(lifted - truncated))
+    coeffs = basis.vertex_vectors.T @ v[partition.assignment]
+    near = np.abs(basis.eigenvalues - lam) <= gamma
+    retained = np.flatnonzero(near)
     bound = (delta / gamma) * np.sqrt(g.n - retained.size)
     return ApproximationBoundReport(
         eigenvalue=float(lam),
         gamma=float(gamma),
         retained=tuple(int(i) for i in retained),
         delta=delta,
-        actual_error=actual,
+        actual_error=float(np.linalg.norm(coeffs[~near])),
         bound=float(bound),
-        truncated=truncated,
     )
 
 

@@ -63,7 +63,6 @@ from . import fileio
 
 __all__ = [
     "Assertion", "ScenarioResult", "available_scenarios", "scenario_config", "run_scenario",
-    "build_fig6_system",
 ]
 
 
@@ -97,6 +96,11 @@ _JSON_TYPES = (
     (bool, "boolean"), (int, "integer"), (float, "number"),
     (str, "string"), ((list, tuple), "array"), (dict, "object"),
 )
+
+
+# The fewest seeds, systems, sweep points or passing seeds a config may ask
+# for; fewer leave a check nothing to count, or a trend nothing to compare.
+_LEAST = {"seeds": 1, "systems": 1, "etas": 2, "sizes": 2, "required_pass": 1, "required": 1}
 
 
 def _json_type(value) -> str:
@@ -344,14 +348,14 @@ def _scn_fig4(config, seed):
         if first_ctraj is None:
             first_ctraj = ctraj
         threshold = config["threshold_frac"] * float(np.abs(ctraj.coeffs[:, 1:]).max())
-        seg = segment_regimes(ctraj, threshold=threshold, min_dwell=config["min_dwell"])
+        regimes = segment_regimes(ctraj, threshold, min_dwell=config["min_dwell"])
         # Jitter splits deactivation times inside a level, so consecutive
         # intervals sharing a qualitative state are collapsed before
         # comparing against the four expected states.
-        labels = [_classify_active(regime.active, coarse, fine) for regime in seg.regimes]
+        labels = [_classify_active(regime.active, coarse, fine) for regime in regimes]
         sequence_pass += [label for label, _ in groupby(labels)] == expected_states
         regime_rows += [(s, regime.t_start, regime.t_end, " ".join(map(str, regime.active)))
-                        for regime in seg.regimes]
+                        for regime in regimes]
 
         lo, hi = config["struct_window"]
         rates_late = fit_decay_rates(ctraj, lo, hi, amp_floor=1e-9)
@@ -469,7 +473,7 @@ def _scn_fig5(config, seed):
     return assertions, metrics, files
 
 
-def build_fig6_system(config: dict | None = None, seed: int = 0):
+def _fig6_system(config: dict, seed: int):
     """Construct the multi-frequency demonstration system.
 
     Three cells: a tightly locked pair asymmetrically attached to a third,
@@ -479,8 +483,6 @@ def build_fig6_system(config: dict | None = None, seed: int = 0):
     negative. Returns (graph, partition, basis, system, slip_mode,
     partner_mode).
     """
-    if config is None:
-        config = _load_default_config("fig6_single_mode")
     g, p, basis, struct = _planted(config, seed)
     r1, r2 = struct[1], struct[2]
     sigma = config["sigma"]
@@ -493,7 +495,7 @@ def build_fig6_system(config: dict | None = None, seed: int = 0):
 
 
 def _scn_fig6(config, seed):
-    g, p, basis, sys_, r1, r2 = build_fig6_system(config, seed)
+    g, p, basis, sys_, r1, r2 = _fig6_system(config, seed)
     entries = {e.mode: e for e in discriminant_report(sys_, basis)}
     delta1 = entries[r1].delta
     others_min = min(e.delta for m, e in entries.items() if m != r1)
@@ -777,6 +779,10 @@ def scenario_config(name: str, config: dict | None = None) -> dict:
         if not _fits(merged[key], value):
             raise ValueError(f"config key {key!r} of {name} must have the JSON types "
                              f"of {merged[key]!r}, got {value!r}")
+        count = len(value) if isinstance(value, (list, tuple)) else value
+        if key in _LEAST and count < _LEAST[key]:
+            raise ValueError(f"config key {key!r} of {name} must count at least "
+                             f"{_LEAST[key]}, got {value!r}")
     return merged | overrides
 
 

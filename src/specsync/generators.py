@@ -154,12 +154,11 @@ def nested_aep(
     leaf_size: int,
     level_weights,
     leaf_weight_range: tuple[float, float] = (1.0, 1.4),
-    leaf_density: float = 1.0,
     jitter: float = 0.05,
     seed: int = 0,
     max_retries: int = 5,
 ) -> tuple[WeightedGraph, list[VertexPartition]]:
-    """Hierarchically clustered graph whose every level is an exact AEP.
+    """Hierarchically clustered complete graph whose every level is an exact AEP.
 
     levels are branching factors from the top (e.g. (3, 2) with leaf_size 30
     gives 3 super-clusters of 2 sub-clusters of 30 vertices). level_weights
@@ -167,8 +166,8 @@ def nested_aep(
     level; weights should ascend with depth so coarser cuts are weaker
     (assortative). Each sibling-subtree pair draws one jittered weight
     shared by all of its edges, which splits eigenvalue degeneracies while
-    keeping every level exactly equitable; leaves are filled with free
-    random intra-cell edges.
+    keeping every level exactly equitable; pairs inside a leaf draw free
+    random weights.
 
     Returns the graph and the partitions, coarsest first. The construction
     is verified to place structural modes of coarser levels at strictly
@@ -184,42 +183,32 @@ def nested_aep(
     weights = tuple(float(w) for w in level_weights)
     if len(weights) != len(levels) or any(w <= 0 for w in weights):
         raise ValueError("level_weights must be positive, one per level")
-    if not 0.0 < leaf_density <= 1.0:
-        raise ValueError("leaf_density must be in (0, 1]")
     if not 0.0 <= jitter < 1.0:
         raise ValueError("jitter must be in [0, 1)")
 
     counts = np.cumprod(levels)
-    n_leaves = int(counts[-1])
-    n = n_leaves * leaf_size
+    n = int(counts[-1]) * leaf_size
+    groups = n // counts
     parts = _level_partitions(levels, leaf_size)
     lo, hi = leaf_weight_range
+    i, j = np.triu_indices(n, 1)
+    # The depth at which each pair splits; len(levels) inside one leaf.
+    split = sum((i // group == j // group).astype(int) for group in groups)
 
     for attempt in range(max_retries):
         rng = np.random.default_rng(seed + attempt)
-        edges: list[tuple[int, int, float]] = []
-        # Cross edges, one jittered constant weight per sibling-subtree pair
-        # at the level where the pair diverges.
-        for depth, cells in enumerate(counts):
-            group = n // int(cells)
-            parent_group = group * levels[depth]
-            for c1 in range(int(cells)):
-                for c2 in range(c1 + 1, int(cells)):
-                    if (c1 * group) // parent_group != (c2 * group) // parent_group:
-                        continue  # not siblings: handled at a coarser level
-                    w = weights[depth] * (1.0 + jitter * rng.uniform(-1.0, 1.0))
-                    for u in range(c1 * group, (c1 + 1) * group):
-                        for v in range(c2 * group, (c2 + 1) * group):
-                            edges.append((u, v, w))
-        # Free intra-leaf edges, random per-edge weights.
-        for leaf in range(n_leaves):
-            base = leaf * leaf_size
-            for a in range(leaf_size):
-                for b in range(a + 1, leaf_size):
-                    if leaf_density >= 1.0 or rng.random() < leaf_density:
-                        edges.append((base + a, base + b, rng.uniform(lo, hi)))
+        w = np.empty(i.size)
+        # One jittered weight per sibling-subtree pair, drawn in (c1, c2)
+        # order and shared by all of the pair's edges.
+        for depth, (group, cells) in enumerate(zip(groups, counts)):
+            at = split == depth
+            pairs, which = np.unique(i[at] // group * cells + j[at] // group,
+                                     return_inverse=True)
+            w[at] = (weights[depth] * (1.0 + jitter * rng.uniform(-1.0, 1.0, pairs.size)))[which]
+        leaf = split == len(levels)
+        w[leaf] = rng.uniform(lo, hi, np.count_nonzero(leaf))
 
-        graph = WeightedGraph(n, edges)
+        graph = WeightedGraph(n, np.column_stack([i, j, w]))
         for part in parts:
             report = check_aep(graph, part)
             if not report.is_aep:

@@ -360,9 +360,9 @@ class TestSegmentRegimes:
         basis = self._basis(4)
         times = np.arange(0.0, 10.0, 0.1)
         traj = synthetic_traj(basis, times, np.zeros((times.size, 4)))
-        seg = segment_regimes(traj, threshold=0.01, min_dwell=1.0)
-        assert len(seg.regimes) == 1
-        assert seg.regimes[0].active == ()
+        regimes = segment_regimes(traj, threshold=0.01, min_dwell=1.0)
+        assert len(regimes) == 1
+        assert regimes[0].active == ()
 
     def test_staircase_deactivation(self):
         basis = self._basis(4)
@@ -373,15 +373,15 @@ class TestSegmentRegimes:
         # A sub-dwell flicker that must be absorbed.
         coeffs[150:152, 3] = 1.0
         traj = synthetic_traj(basis, times, coeffs)
-        seg = segment_regimes(traj, threshold=0.5, min_dwell=2.0)
-        actives = [r.active for r in seg.regimes]
+        regimes = segment_regimes(traj, threshold=0.5, min_dwell=2.0)
+        actives = [r.active for r in regimes]
         assert actives == [(1, 2), (1,), ()]
-        assert abs(seg.regimes[0].t_end - 10.0) < 0.2
-        assert abs(seg.regimes[1].t_end - 20.0) < 0.2
+        assert abs(regimes[0].t_end - 10.0) < 0.2
+        assert abs(regimes[1].t_end - 20.0) < 0.2
         # The intervals tile the full time range.
-        assert seg.regimes[0].t_start == 0.0
-        assert seg.regimes[-1].t_end == pytest.approx(times[-1])
-        for a, b in zip(seg.regimes, seg.regimes[1:]):
+        assert regimes[0].t_start == 0.0
+        assert regimes[-1].t_end == pytest.approx(times[-1])
+        for a, b in zip(regimes, regimes[1:]):
             assert a.t_end == pytest.approx(b.t_start)
 
     def test_exponential_decay_ordering(self):
@@ -395,9 +395,9 @@ class TestSegmentRegimes:
         for r in range(1, 5):
             coeffs[:, r] = np.exp(-sigma * basis.eigenvalues[r] * times)
         traj = synthetic_traj(basis, times, coeffs)
-        seg = segment_regimes(traj, threshold=1e-3, min_dwell=0.5)
+        regimes = segment_regimes(traj, threshold=1e-3, min_dwell=0.5)
         last_active = {}
-        for regime in seg.regimes:
+        for regime in regimes:
             for r in regime.active:
                 last_active[r] = regime.t_end
         lams = basis.eigenvalues
@@ -406,15 +406,14 @@ class TestSegmentRegimes:
                 if lams[r] < lams[s] - 1e-9:
                     assert last_active[r] >= last_active[s]
 
-    def test_default_threshold_uses_terminal_magnitudes(self):
+    def test_threshold_is_required_and_positive(self):
         basis = self._basis(3)
         times = np.arange(0.0, 10.0, 0.1)
-        coeffs = np.zeros((times.size, 3))
-        coeffs[:, 1] = 1.0
-        coeffs[:, 2] = 0.01
-        traj = synthetic_traj(basis, times, coeffs)
-        seg = segment_regimes(traj, min_dwell=1.0)  # threshold = 0.02 * 1.0
-        assert seg.regimes[0].active == (1,)
+        traj = synthetic_traj(basis, times, np.ones((times.size, 3)))
+        with pytest.raises(TypeError, match="threshold"):
+            segment_regimes(traj, min_dwell=1.0)
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            segment_regimes(traj, 0.0, min_dwell=1.0)
 
 
 class TestFitDecayRates:

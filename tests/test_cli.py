@@ -10,7 +10,6 @@ import pytest
 import specsync
 from specsync.cli import main
 from specsync import cli, experiments, fileio
-from specsync.experiments import build_fig6_system
 
 
 PLANTED_CONFIG = {
@@ -231,6 +230,15 @@ class TestSimulate:
         assert main(["simulate", "--graph", graph, "--omega", "[0,0,0]",
                      "--dt", "-0.01", "--steps", "10", "--out-dir", str(tmp_path)]) == 2
 
+    def test_dt_past_rk4_stability_limit_exits_2(self, tmp_path, capsys):
+        graph = make_path_graph(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--graph", graph, "--omega", "[0,0,0]", "--dt", "1",
+                     "--steps", "10", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sigma 1 x 2 d_max 4 x dt 1 is past RK4's stability limit 2.785" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -287,7 +295,8 @@ class TestPredict:
         assert capsys.readouterr().out == ""
 
     def test_fig6_system_reports_negative_delta(self, tmp_path, capsys):
-        g, p, basis, system, r1, _ = build_fig6_system(seed=0)
+        config = experiments.scenario_config("fig6_single_mode")
+        g, p, basis, system, r1, _ = experiments._fig6_system(config, 0)
         gpath = tmp_path / "g.json"
         fileio.save_graph(g, gpath)
         opath = tmp_path / "omega.json"
@@ -446,7 +455,7 @@ class TestErrorBoundary:
         [("planted-aep", PLANTED_CONFIG), ("sbm", SBM_CONFIG),
          ("nested-aep", {"levels": [2, 2], "leaf_size": 4, "level_weights": [0.01, 0.1]})],
     )
-    @pytest.mark.parametrize("key", ["unknown_key", "seed", "max_retries"])
+    @pytest.mark.parametrize("key", ["unknown_key", "seed", "max_retries", "leaf_density"])
     def test_generator_config_keys(self, tmp_path, capsys, kind, config, key):
         cfg = write_json(tmp_path / "c.json", {**config, key: 3})
         out = tmp_path / "out"
@@ -465,7 +474,7 @@ class TestErrorBoundary:
         graph = make_path_graph(tmp_path)
         out = tmp_path / "out"
         assert main(["simulate", "--graph", graph, "--omega", "[1e308, 0, -1e308]",
-                     "--dt", "10", "--steps", "10", "--out-dir", str(out)]) == 1
+                     "--dt", "0.5", "--steps", "10", "--out-dir", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("simulate failed: non-finite state")

@@ -86,13 +86,15 @@ class TestVertexIntegration:
 
     def test_blow_up_reports_step(self):
         # The pair runs the dense kernel, the path the edge list; both steps
-        # are the ones a per-step finiteness test reports.
-        sys_ = two_oscillator_system(sigma=1e308)
+        # are the ones a per-step finiteness test reports. Both steps are
+        # stable; the frequencies overflow the pair at step 1 and the path's
+        # ends at step 33.
+        sys_ = two_oscillator_system(omega=(1e308, -1e308), sigma=0.1)
         with pytest.raises(BlowUpError) as info:
             integrate_vertex(sys_, np.array([0.3, -0.3]), dt=1.0, steps=10)
         assert (info.value.step, info.value.row) == (1, 0)
         path = WeightedGraph(40, [(i, i + 1, 1.0) for i in range(39)])
-        sys_ = OscillatorSystem(graph=path, omega=np.zeros(40), sigma=1e307)
+        sys_ = OscillatorSystem(graph=path, omega=np.linspace(-5.5e306, 5.5e306, 40), sigma=0.1)
         with pytest.raises(BlowUpError) as info:
             integrate_vertex(sys_, np.linspace(-1.0, 1.0, 40), dt=1.0, steps=400)
         assert info.value.step == 33
@@ -118,11 +120,15 @@ class TestVertexIntegration:
             ((0.1, -0.1), -0.1, 10, "dt"),
             ((0.1, -0.1), 0.1, 2.5, "steps"),
             ((0.1, -0.1), 0.1, 0, "steps"),
+            # sigma 2 d_max dt = 2.8, just past the limit.
+            ((0.1, -0.1), 1.4, 10, r"sigma 1 x 2 d_max 2 x dt 1\.4 is past RK4's stability "
+                                   r"limit 2\.785"),
         ],
     )
     def test_run_inputs_rejected_at_the_boundary(self, form, state, dt, steps, match):
-        # Each of these used to surface as a BlowUpError at step 1 or a
-        # TypeError inside the RK4 loop.
+        # Each of these used to surface as a BlowUpError at step 1, as a
+        # TypeError inside the RK4 loop or, past RK4's stability limit, as
+        # a run that stays bounded and is wrong.
         sys_ = two_oscillator_system()
         x0 = np.array(state)
         with pytest.raises(ValueError, match=match):
@@ -226,9 +232,12 @@ class TestBatchedVertexIntegration:
         assert np.abs(one.states[:, 0] - flat.states).max() <= 1e-12
 
     def test_blow_up_names_row_and_step(self):
-        sys_ = two_oscillator_system(sigma=1e308)
+        # A stable step: the frequencies carry row 1, which starts next to
+        # the largest float, past it at step 1, and row 0 only at step 18.
+        sys_ = two_oscillator_system(omega=(1e307, -1e307), sigma=0.1)
         with pytest.raises(BlowUpError, match="step 1, batch row 1") as info:
-            integrate_vertex(sys_, np.array([[0.0, 0.0], [0.3, -0.3]]), dt=1.0, steps=10)
+            integrate_vertex(sys_, np.array([[0.0, 0.0], [1.79e308, -1.79e308]]), dt=1.0,
+                             steps=10)
         assert (info.value.step, info.value.row) == (1, 1)
 
     def test_cluster_spread_takes_one_trajectory(self):
@@ -315,7 +324,7 @@ class TestCoefficientIntegration:
         assert np.abs(ctraj.coeffs - expected).max() < 1e-12
 
     def test_blow_up_reports_step(self):
-        sys_ = two_oscillator_system(sigma=1e308)
+        sys_ = two_oscillator_system(omega=(1e308, -1e308), sigma=0.1)
         basis = spectral_basis(sys_.graph)
         alpha0 = decompose(np.array([0.3, -0.3]), basis)
         with pytest.raises(BlowUpError, match="step 1, batch row 0") as info:

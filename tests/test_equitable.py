@@ -319,8 +319,27 @@ class TestApproximationBound:
         assert gamma > 0
         report = approximation_bound(g, p, basis, (lam, v), gamma)
         assert report.retained == ()
-        assert np.allclose(report.truncated, 0.0)
+        assert report.actual_error == pytest.approx(np.linalg.norm(v[p.assignment]), rel=1e-12)
         assert report.actual_error <= report.bound
+
+    @pytest.mark.parametrize("instance", ["planted", "perturbed", "sbm"])
+    def test_actual_error_is_the_projection_residual(self, instance):
+        # ||P v - V_A V_A^T P v|| formed explicitly, against the report's
+        # norm of the coefficients outside the window.
+        if instance == "sbm":
+            g, p = sample_sbm(SbmConfig(block_sizes=(12, 9),
+                                        probabilities=((0.6, 0.2), (0.2, 0.5)), seed=3))
+        else:
+            g, p = self._planted_instance(3, eta=0.1 if instance == "perturbed" else 0.0)
+        basis = spectral_basis(g)
+        vals, vecs = eigendecompose_general(quotient_matrix(laplacian(g), p))
+        for r in range(p.k):
+            for gamma in (0.05, 0.5, 2.0):
+                report = approximation_bound(g, p, basis, (vals[r], vecs[:, r]), gamma)
+                lifted = vecs[p.assignment, r]
+                window = basis.vertex_vectors[:, list(report.retained)]
+                explicit = np.linalg.norm(lifted - window @ (window.T @ lifted))
+                assert abs(report.actual_error - explicit) <= 1e-12
 
     def test_rejects_nonpositive_gamma(self, path3):
         basis = spectral_basis(path3)

@@ -5,9 +5,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specsync import available_scenarios, experiments, fileio, run_scenario, scenario_config
+from specsync import (
+    OscillatorSystem,
+    WeightedGraph,
+    available_scenarios,
+    decompose,
+    experiments,
+    fileio,
+    integrate_coefficient,
+    integrate_vertex,
+    reconstruct_trajectory,
+    run_scenario,
+    scenario_config,
+    spectral_basis,
+)
 from specsync.cli import main
-from specsync.experiments import Assertion, build_fig6_system
+from specsync.experiments import Assertion
+
+from conftest import random_connected_graph
 
 
 SMALL_BASIS_EQ = {"systems": 3, "n_min": 5, "n_max": 8, "t_final": 5.0, "dt": 0.01}
@@ -293,6 +308,34 @@ class TestNoVacuousPasses:
         assert payload["metrics"]["pooled_spearman"] is None
         assert payload["metrics"]["per_seed_spearman"] == [None, None]
 
+    @pytest.mark.parametrize("name, config", [
+        ("basis_equivalence", {"systems": 0}),
+        ("fig3_linearization_error", {"seeds": 0}),
+        ("fig4_hierarchical", {"seeds": 0}),
+        ("fig5_qep", {"seeds": 0}),
+        ("fig5_qep", {"etas": []}),
+        # One eta: both monotone checks would pass over a single point.
+        ("fig5_qep", {"etas": [0.1]}),
+        ("sbm_limit", {"sizes": []}),
+        # No passing seed required: 0/2 seeds would pass the headline check.
+        ("fig4_hierarchical", {"required_pass": 0}),
+        ("sbm_limit", {"required": 0}),
+    ], ids=["basis_equivalence", "fig3", "fig4", "fig5_seeds", "fig5_no_eta", "fig5_one_eta",
+            "sbm_limit", "fig4_required", "sbm_limit_required"])
+    def test_zero_counts_rejected_before_the_run(self, monkeypatch, tmp_path, capsys, name,
+                                                 config):
+        def refuse(*args):
+            raise AssertionError("the scenario ran")
+
+        monkeypatch.setitem(experiments._SCENARIOS, name, refuse)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        assert main(["experiment", name, "--config", str(cfg), "--out-dir", str(out)]) == 2
+        [key] = config
+        assert f"config key {key!r} of {name} must count at least" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spearman_ranks_ties_by_their_average(self):
         assert experiments._spearman([1.0, 1.0, 2.0], [1.0, 2.0, 3.0]) == pytest.approx(
             np.sqrt(3) / 2, abs=1e-15)
@@ -330,27 +373,51 @@ class TestNegativeControls:
          {"discriminant_pattern", "persistent_oscillation", "tangent_tracks_simulation"}),
         # Lags too large for the linearized equilibria.
         ("phase_lag_ex2", {}, {"beta_scale": 0.5}, {"simulated_equilibria_match"}),
-        # Coupling too stiff for the step (sigma lambda_max dt = 8.9, past
-        # RK4's 2.8): the run never settles, and its errors, O(1) and
-        # chaotic, do not follow the limits' magnitudes.
-        ("fig3_linearization_error", {"seeds": 3}, {"seeds": 3, "sigma": 100.0},
-         {"error_grows_with_magnitude"}),
         # A drive beyond locking: no equilibrium to match, and the
         # coefficients drift with sigma and with the lag.
         ("phase_lag_ex1", {}, {"target_coeffs": [3.0, 2.0]},
          {"nonstructural_sigma_invariant", "equilibria_match_prediction",
           "structural_limits_lag_free"}),
-    ], ids=["fig5_qep", "fig6_single_mode", "phase_lag_ex2", "fig3_linearization_error",
-            "phase_lag_ex1"])
+    ], ids=["fig5_qep", "fig6_single_mode", "phase_lag_ex2", "phase_lag_ex1"])
     def test_control_fails_only_its_checks(self, name, baseline, control, failing):
         assert run_scenario(name, baseline, seed=0).passed
         verdicts = self.verdicts(run_scenario(name, control, seed=0))
         assert {check for check, passed in verdicts.items() if not passed} == failing
 
+    def test_fig3_stiff_coupling_is_rejected_by_the_step_guard(self):
+        # sigma 100 puts sigma 2 d_max dt at 14.6, past RK4's 2.785. It was
+        # fig3's control, but its errors followed the unstable step alone:
+        # at a stable step the ranks do not depend on sigma.
+        with pytest.raises(ValueError, match="stability limit"):
+            run_scenario("fig3_linearization_error", {"seeds": 3, "sigma": 100.0}, seed=0)
+
+    def test_basis_equivalence_fails_on_another_graphs_basis(self):
+        # The basis of a relabelled graph has the same n and m, so the size
+        # check accepts it, but the coefficient form then integrates other
+        # equations than the vertex form.
+        config = scenario_config("basis_equivalence", SMALL_BASIS_EQ)
+        rng = np.random.default_rng(0)
+        g = random_connected_graph(rng, n_max=config["n_max"], n_min=config["n_min"], p=0.6)
+        perm = rng.permutation(g.n)
+        other = WeightedGraph(g.n, [(perm[i], perm[j], w) for i, j, w in g.edges])
+        assert other != g
+        sys_ = OscillatorSystem(graph=g, omega=rng.normal(0.0, 0.3, g.n), sigma=config["sigma"])
+        theta0 = rng.uniform(-0.5, 0.5, g.n)
+        dt, steps = config["dt"], int(round(config["t_final"] / config["dt"]))
+        vertex = integrate_vertex(sys_, theta0, dt, steps).states
+
+        def gap(basis):
+            ctraj = integrate_coefficient(sys_, basis, decompose(theta0, basis), dt, steps)
+            return float(np.abs(reconstruct_trajectory(ctraj).states - vertex).max())
+
+        assert gap(spectral_basis(g)) <= config["tol"]
+        assert gap(spectral_basis(other)) > config["tol"]
+
 
 class TestFig6Construction:
     def test_discriminant_pattern(self):
-        g, p, basis, system, r1, r2 = build_fig6_system(seed=0)
+        config = scenario_config("fig6_single_mode")
+        g, p, basis, system, r1, r2 = experiments._fig6_system(config, 0)
         from specsync import discriminant_report
 
         entries = {e.mode: e for e in discriminant_report(system, basis)}

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from specsync import generators
 from specsync import (
     PlantedAepConfig,
     SbmConfig,
+    WeightedGraph,
     adjacency,
     laplacian,
     quotient_matrix,
@@ -23,7 +25,6 @@ FIG4_WEIGHTS = dict(
     leaf_size=30,
     level_weights=(0.002, 0.02),
     leaf_weight_range=(0.25, 0.35),
-    leaf_density=1.0,
 )
 
 
@@ -126,7 +127,68 @@ class TestPlantedAep:
             assert check_aep(g, p).max_deviation <= 1e-9
 
 
+def reference_nested_aep(levels, leaf_size, level_weights, leaf_weight_range, jitter, seed,
+                         max_retries=5):
+    """Oracle: the tuple-per-edge construction, one scalar draw per sibling
+    pair and per leaf edge in loop order. Returns (graph, attempt that
+    passed), or None at the retry cap."""
+    counts = np.cumprod(levels)
+    n = int(counts[-1]) * leaf_size
+    parts = generators._level_partitions(levels, leaf_size)
+    lo, hi = leaf_weight_range
+    for attempt in range(max_retries):
+        rng = np.random.default_rng(seed + attempt)
+        edges = []
+        for depth, cells in enumerate(counts):
+            group = n // int(cells)
+            parent_group = group * levels[depth]
+            for c1 in range(int(cells)):
+                for c2 in range(c1 + 1, int(cells)):
+                    if (c1 * group) // parent_group != (c2 * group) // parent_group:
+                        continue  # not siblings: handled at a coarser level
+                    w = level_weights[depth] * (1.0 + jitter * rng.uniform(-1.0, 1.0))
+                    for u in range(c1 * group, (c1 + 1) * group):
+                        for v in range(c2 * group, (c2 + 1) * group):
+                            edges.append((u, v, w))
+        for leaf in range(int(counts[-1])):
+            base = leaf * leaf_size
+            for a in range(leaf_size):
+                for b in range(a + 1, leaf_size):
+                    edges.append((base + a, base + b, rng.uniform(lo, hi)))
+        graph = WeightedGraph(n, edges)
+        if generators._spectrally_ordered(graph, parts):
+            return graph, attempt
+        jitter *= 0.5
+    return None
+
+
 class TestNestedAep:
+    @pytest.mark.parametrize("jitter", [0.05, 0.9])
+    @pytest.mark.parametrize("levels, leaf_size, level_weights", [
+        ((3, 2), 4, (0.05, 0.3)),
+        ((3,), 5, (0.1,)),
+        ((2, 2, 2), 3, (0.02, 0.1, 0.4)),
+    ])
+    def test_matches_tuple_loop_reference(self, levels, leaf_size, level_weights, jitter):
+        for seed in range(4):
+            expected, _ = reference_nested_aep(levels, leaf_size, level_weights, (1.0, 1.4),
+                                               jitter, seed)
+            g, _ = nested_aep(levels, leaf_size, level_weights, (1.0, 1.4), jitter=jitter,
+                              seed=seed)
+            assert np.array_equal(g.edge_i, expected.edge_i)
+            assert np.array_equal(g.edge_j, expected.edge_j)
+            assert np.array_equal(g.edge_w, expected.edge_w)
+            assert g.m == g.n * (g.n - 1) // 2
+
+    def test_reference_seeds_include_a_retry(self):
+        # Seed 0 at jitter 0.9 fails the ordering check and passes on the
+        # retry with half the jitter, so the comparison above covers it.
+        for levels, leaf_size, level_weights in [((3, 2), 4, (0.05, 0.3)),
+                                                 ((2, 2, 2), 3, (0.02, 0.1, 0.4))]:
+            _, attempt = reference_nested_aep(levels, leaf_size, level_weights, (1.0, 1.4),
+                                              0.9, 0)
+            assert attempt == 1
+
     def test_fig4_shape(self):
         g, parts = nested_aep(**FIG4_WEIGHTS, jitter=0.05, seed=0)
         assert g.n == 180
