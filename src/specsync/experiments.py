@@ -783,7 +783,13 @@ def scenario_config(name: str, config: dict | None = None) -> dict:
         if key in _LEAST and count < _LEAST[key]:
             raise ValueError(f"config key {key!r} of {name} must count at least "
                              f"{_LEAST[key]}, got {value!r}")
-    return merged | overrides
+        if key == "sizes" and min(value) < 2:  # n // 2 = 0 leaves an SBM block empty
+            raise ValueError(f"config key 'sizes' of {name} must list sizes >= 2, got {value!r}")
+    merged |= overrides
+    if "n_min" in merged and not 2 <= merged["n_min"] <= merged["n_max"]:  # 1 vertex: no coupling
+        raise ValueError(f"config keys 'n_min' and 'n_max' of {name} must satisfy 2 <= n_min "
+                         f"<= n_max, got {merged['n_min']!r} and {merged['n_max']!r}")
+    return merged
 
 
 def run_scenario(

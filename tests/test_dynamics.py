@@ -22,7 +22,7 @@ from specsync import (
     sample_sbm,
     SbmConfig,
 )
-from specsync import dynamics
+from specsync import dynamics, experiments
 
 from conftest import random_connected_graph
 
@@ -276,7 +276,80 @@ class TestSystemValidation:
             OscillatorSystem(graph=g, omega=np.zeros(2), sigma=1.0, beta=np.zeros(3))
 
 
+def reference_coefficient(system, basis, alpha0, dt, steps):
+    """Oracle: the coefficient right-hand side as a closure, stepped by the
+    generic RK4 loop that the vertex form uses."""
+    omega_spec = basis.vertex_vectors.T @ system.omega
+    edge_phase = basis.edge_vectors.copy()
+    edge_phase[:, 0] = 0.0
+    gain = system.sigma * (system.graph.edge_w[:, None] * edge_phase).T
+    beta, lagged = system.beta, bool(system.beta.any())
+
+    def rhs(alpha):
+        phase = edge_phase @ alpha
+        if lagged:
+            phase += beta
+        return omega_spec - gain @ np.sin(phase)
+
+    return dynamics._rk4(rhs, np.asarray(alpha0, dtype=float), dt, steps)
+
+
+def fused_step_systems():
+    """(name, system without lag, alpha0, dt): a path (m < n), fig6's system
+    (n 6, m 15), a dense planted n = 30 graph and the two-oscillator pair."""
+    rng = np.random.default_rng(41)
+    path = WeightedGraph(9, [(i, i + 1, rng.uniform(0.5, 1.5)) for i in range(8)])
+    fig6 = experiments._fig6_system(experiments.scenario_config("fig6_single_mode"), 0)[3]
+    dense, _ = planted_aep(PlantedAepConfig(
+        cell_sizes=(10, 10, 10),
+        quotient_weights=((0.0, 0.7, 0.3), (0.7, 0.0, 0.5), (0.3, 0.5, 0.0)),
+        intra_density=0.9, seed=3))
+    pair = two_oscillator_system(omega=(0.4, -0.3), sigma=1.2)
+    systems = [
+        ("path", OscillatorSystem(graph=path, omega=rng.normal(size=9), sigma=1.0), 0.01),
+        ("fig6", fig6, 0.002),
+        ("planted_n30", OscillatorSystem(graph=dense, omega=rng.normal(0, 0.3, 30), sigma=1.0),
+         0.01),
+        ("pair", pair, 0.01),
+    ]
+    return [(name, sys_, rng.uniform(-0.5, 0.5, sys_.graph.n), dt) for name, sys_, dt in systems]
+
+
 class TestCoefficientIntegration:
+    @pytest.mark.parametrize("lagged", [False, True])
+    def test_fused_step_matches_reference(self, lagged):
+        rng = np.random.default_rng(42)
+        seen = []
+        for name, sys_, alpha0, dt in fused_step_systems():
+            if lagged:
+                sys_ = OscillatorSystem(graph=sys_.graph, omega=sys_.omega, sigma=sys_.sigma,
+                                        beta=rng.uniform(-0.3, 0.3, sys_.graph.m))
+            basis = spectral_basis(sys_.graph)
+            fused = integrate_coefficient(sys_, basis, alpha0, dt, 200).coeffs
+            expected = reference_coefficient(sys_, basis, alpha0, dt, 200)
+            assert np.abs(fused - expected).max() <= 1e-12, name
+            seen.append((sys_.graph.n, sys_.graph.m))
+        assert seen[0][1] < seen[0][0] and seen[1] == (6, 15) and seen[2][1] > 400
+
+    @pytest.mark.parametrize("lagged", [False, True])
+    def test_rk4_convergence_order(self, lagged):
+        # A wrong weight in a folded matrix leaves a first- or second-order
+        # error, which shows here even when it stays under 1e-6.
+        rng = np.random.default_rng(43)
+        g = random_connected_graph(rng, n_max=6, n_min=4)
+        beta = rng.uniform(-0.3, 0.3, size=g.m) if lagged else None
+        sys_ = OscillatorSystem(graph=g, omega=rng.normal(size=g.n), sigma=1.0, beta=beta)
+        basis = spectral_basis(g)
+        alpha0 = rng.uniform(-1, 1, size=g.n)
+
+        def final_state(dt, steps):
+            return integrate_coefficient(sys_, basis, alpha0, dt=dt, steps=steps).coeffs[-1]
+
+        reference = final_state(0.0025, 800)
+        err_coarse = np.abs(final_state(0.02, 100) - reference).max()
+        err_fine = np.abs(final_state(0.01, 200) - reference).max()
+        assert 12.0 < err_coarse / err_fine < 20.0
+
     def test_uniform_frequency_fixed_point(self):
         rng = np.random.default_rng(33)
         g = random_connected_graph(rng, n_max=8)

@@ -308,22 +308,34 @@ class TestNoVacuousPasses:
         assert payload["metrics"]["pooled_spearman"] is None
         assert payload["metrics"]["per_seed_spearman"] == [None, None]
 
-    @pytest.mark.parametrize("name, config", [
-        ("basis_equivalence", {"systems": 0}),
-        ("fig3_linearization_error", {"seeds": 0}),
-        ("fig4_hierarchical", {"seeds": 0}),
-        ("fig5_qep", {"seeds": 0}),
-        ("fig5_qep", {"etas": []}),
+    @pytest.mark.parametrize("name, config, message", [
+        ("basis_equivalence", {"systems": 0},
+         "config key 'systems' of basis_equivalence must count at least"),
+        ("fig3_linearization_error", {"seeds": 0},
+         "config key 'seeds' of fig3_linearization_error must count at least"),
+        ("fig4_hierarchical", {"seeds": 0},
+         "config key 'seeds' of fig4_hierarchical must count at least"),
+        ("fig5_qep", {"seeds": 0}, "config key 'seeds' of fig5_qep must count at least"),
+        ("fig5_qep", {"etas": []}, "config key 'etas' of fig5_qep must count at least"),
         # One eta: both monotone checks would pass over a single point.
-        ("fig5_qep", {"etas": [0.1]}),
-        ("sbm_limit", {"sizes": []}),
+        ("fig5_qep", {"etas": [0.1]}, "config key 'etas' of fig5_qep must count at least"),
+        ("sbm_limit", {"sizes": []}, "config key 'sizes' of sbm_limit must count at least"),
         # No passing seed required: 0/2 seeds would pass the headline check.
-        ("fig4_hierarchical", {"required_pass": 0}),
-        ("sbm_limit", {"required": 0}),
+        ("fig4_hierarchical", {"required_pass": 0},
+         "config key 'required_pass' of fig4_hierarchical must count at least"),
+        ("sbm_limit", {"required": 0}, "config key 'required' of sbm_limit must count at least"),
+        # One vertex integrates no coupling, so both forms would agree vacuously.
+        ("basis_equivalence", {"n_min": 1, "n_max": 1, "systems": 1},
+         "config keys 'n_min' and 'n_max' of basis_equivalence must satisfy 2 <= n_min <= n_max"),
+        ("basis_equivalence", {"n_max": 5},
+         "config keys 'n_min' and 'n_max' of basis_equivalence must satisfy 2 <= n_min <= n_max"),
+        # A size of 1 leaves one of the two SBM blocks empty.
+        ("sbm_limit", {"sizes": [1, 100]}, "config key 'sizes' of sbm_limit must list sizes >= 2"),
     ], ids=["basis_equivalence", "fig3", "fig4", "fig5_seeds", "fig5_no_eta", "fig5_one_eta",
-            "sbm_limit", "fig4_required", "sbm_limit_required"])
+            "sbm_limit", "fig4_required", "sbm_limit_required", "basis_equivalence_one_vertex",
+            "basis_equivalence_empty_range", "sbm_limit_size_one"])
     def test_zero_counts_rejected_before_the_run(self, monkeypatch, tmp_path, capsys, name,
-                                                 config):
+                                                 config, message):
         def refuse(*args):
             raise AssertionError("the scenario ran")
 
@@ -332,8 +344,7 @@ class TestNoVacuousPasses:
         cfg.write_text(json.dumps(config))
         out = tmp_path / "runs"
         assert main(["experiment", name, "--config", str(cfg), "--out-dir", str(out)]) == 2
-        [key] = config
-        assert f"config key {key!r} of {name} must count at least" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_spearman_ranks_ties_by_their_average(self):
