@@ -28,8 +28,7 @@ scatter them with bincount, O(m) per call. The coefficient form stays in
 edge space as written above, so comparing the two forms remains an
 independent check. Its matrices are built once per run: edge_phase, the
 (m, n) edge vectors with mode 0's column zeroed, and gain = sigma
-(W edge_phase)^T, whose row 0 is then zero, so mode 0 is uncoupled. The RK4
-step is fused: its stage steps and weights scale copies of V^T omega and gain.
+(W edge_phase)^T, whose row 0 is then zero, so mode 0 is uncoupled.
 
 integrate_vertex also advances a batch of B initial states on one system:
 theta0 of shape (B, n) gives states of shape (steps + 1, B, n), with one
@@ -37,8 +36,12 @@ RK4 step loop and one kernel call per stage for the whole batch.
 
 Both forms are integrated with fixed-step classical RK4; fixed stepping
 keeps the two trajectories aligned in time so they can be compared sample
-by sample. Phases live in R (unwrapped); rezero() reduces a trajectory
-mod 2 pi when winding offsets need to be removed before decomposition.
+by sample. Each form's step is fused: the stage steps and weights are folded
+into per-run copies of the drift and the coupling (the vertex kernels take
+the scale h sigma / 2 and write into one row of a stage buffer), and one
+product joins the four stages. Phases live in R (unwrapped); rezero()
+reduces a trajectory mod 2 pi when winding offsets need to be removed
+before decomposition.
 """
 from __future__ import annotations
 
@@ -65,12 +68,15 @@ __all__ = [
 
 
 class BlowUpError(RuntimeError):
-    """Integration produced a non-finite state."""
+    """Integration produced a non-finite state, first at step (time = step * dt) in
+    batch row row; last_state is that row's last finite state, one step earlier."""
 
-    def __init__(self, step: int, row: int):
-        super().__init__(f"non-finite state at step {step}, batch row {row}")
+    def __init__(self, step: int, row: int, time: float, last_state: np.ndarray):
+        super().__init__(f"non-finite state at step {step} (t = {time:g}), batch row {row}")
         self.step = step
         self.row = row
+        self.time = time
+        self.last_state = last_state
 
 
 @dataclass(frozen=True)
@@ -149,30 +155,15 @@ class CoefficientTrajectory:
         return int(self.coeffs.shape[-1])
 
 
-def _rk4(rhs, y0: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    """Classical fixed-step RK4; raises BlowUpError on non-finite states.
-
-    Leading axes of the state are batch rows that rhs advances apart. A
-    non-finite row stays non-finite under every later step, so one check
-    after the loop finds the first bad step and row a per-step test would.
-    """
-    out = np.empty((steps + 1,) + y0.shape)
-    out[0] = y = y0
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    # Overflow surfaces as the BlowUpError below, not as numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, steps + 1):
-            k1 = rhs(y)
-            k2 = rhs(y + half * k1)
-            k3 = rhs(y + half * k2)
-            k4 = rhs(y + dt * k3)
-            y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            out[k] = y
-    bad = ~np.isfinite(out[1:]).reshape(steps, -1, y0.shape[-1]).all(axis=2)
+def _check_finite(out: np.ndarray, dt: float) -> np.ndarray:
+    """Return a run's states, or raise BlowUpError at its first non-finite step
+    and batch row. A non-finite row stays non-finite under every later step,
+    so one check after the loop finds the step and row a per-step test would."""
+    rows = out.reshape(out.shape[0], -1, out.shape[-1])
+    bad = ~np.isfinite(rows).all(axis=2)
     if bad.any():
-        step, row = np.argwhere(bad)[0]
-        raise BlowUpError(int(step) + 1, int(row))
+        step, row = (int(i) for i in np.argwhere(bad)[0])
+        raise BlowUpError(step, row, step * float(dt), rows[step - 1, row].copy())
     return out
 
 
@@ -204,30 +195,27 @@ def _initial_state(system: OscillatorSystem, state: np.ndarray, name: str, shape
     return state
 
 
-def _edge_coupling(g: WeightedGraph, beta: np.ndarray, shape: tuple):
-    """Edge-list kernel: gather the m edge terms of every row, scatter them
-    with one bincount over the flat index b * n + i."""
-    n = g.n
+def _edge_coupling(g: WeightedGraph, beta: np.ndarray, shape: tuple, scale: float):
+    """Edge-list kernel: gather the m scaled edge terms of every row, scatter
+    them with one bincount over the flat index b * n + i."""
     size = math.prod(shape)
-    batch = size // n
-    offset = n * np.arange(batch)[:, None]
+    offset = g.n * np.arange(size // g.n)[:, None]
     flat_i, flat_j = (offset + g.edge_i).ravel(), (offset + g.edge_j).ravel()
-    w, beta = np.tile(g.edge_w, batch), np.tile(beta, batch)
+    w, beta = np.tile(scale * g.edge_w, len(offset)), np.tile(beta, len(offset))
 
-    def edge_flow(theta):
+    def edge_flow(theta, row):
         flat = theta.ravel()
         s = w * np.sin(flat[flat_i] - flat[flat_j] + beta)
-        flow = np.bincount(flat_i, weights=s, minlength=size) - np.bincount(
-            flat_j, weights=s, minlength=size
-        )
-        return flow.reshape(shape)
+        return np.subtract(np.bincount(flat_i, weights=s, minlength=size).reshape(shape),
+                           np.bincount(flat_j, weights=s, minlength=size).reshape(shape),
+                           out=row)
 
     return edge_flow
 
 
-def _dense_coupling(g: WeightedGraph, beta: np.ndarray, shape: tuple):
+def _dense_coupling(g: WeightedGraph, beta: np.ndarray, shape: tuple, scale: float):
     """Dense kernel: S o (Kc C) - C o (Kc S), plus C o (Ks C) + S o (Ks S)
-    with lag, from one matrix product per call.
+    with lag, from one matrix product per call; Kc and Ks carry the scale.
 
     Every row's sin and cos go into one preallocated (B, 2, n) buffer whose
     (2B, n) view multiplies Kc, or [Kc, Ks] when beta is not all zero. The
@@ -238,9 +226,9 @@ def _dense_coupling(g: WeightedGraph, beta: np.ndarray, shape: tuple):
     batch = math.prod(shape) // n
     lagged = bool(beta.any())
     kmat = np.zeros((n, 2 * n if lagged else n))
-    kmat[ei, ej] = kmat[ej, ei] = g.edge_w * np.cos(beta)
+    kmat[ei, ej] = kmat[ej, ei] = scale * g.edge_w * np.cos(beta)
     if lagged:
-        kmat[ei, n + ej] = g.edge_w * np.sin(beta)
+        kmat[ei, n + ej] = scale * g.edge_w * np.sin(beta)
         kmat[ej, n + ei] = -kmat[ei, n + ej]
     trig = np.empty((batch, 2, n))
     prod = np.empty((batch, 2, kmat.shape[1]))
@@ -249,24 +237,26 @@ def _dense_coupling(g: WeightedGraph, beta: np.ndarray, shape: tuple):
     # Rows of the product: S Kc = Kc S, C Kc = Kc C, and with lag
     # S Ks = -Ks S, C Ks = -Ks C.
     kc_s, kc_c = prod[:, 0, :n].reshape(shape), prod[:, 1, :n].reshape(shape)
+    swapped = prod[:, ::-1, :n]  # [Kc C; Kc S] against [S; C]
     if lagged:
         ks_s, ks_c = prod[:, 0, n:].reshape(shape), prod[:, 1, n:].reshape(shape)
 
-    def dense_flow(theta):
+    def dense_flow(theta, row):
         np.sin(theta, out=sin_t)
         np.cos(theta, out=cos_t)
         np.matmul(trig_rows, kmat, out=prod_rows)
         if lagged:
             np.subtract(kc_c, ks_s, out=kc_c)
             np.add(kc_s, ks_c, out=kc_s)
-        return sin_t * kc_c - cos_t * kc_s
+        np.multiply(trig, swapped, out=trig)
+        return np.subtract(sin_t, cos_t, out=row)
 
     return dense_flow
 
 
-def _vertex_coupling(system: OscillatorSystem, shape: tuple):
-    """Return theta -> sum_j A_ij sin(theta_i - theta_j + beta_ij) for a
-    state theta of the given shape, (n,) or (B, n).
+def _vertex_coupling(system: OscillatorSystem, shape: tuple, scale: float):
+    """Return (theta, row) -> scale sum_j A_ij sin(theta_i - theta_j + beta_ij),
+    written into row, for a state theta of the given shape, (n,) or (B, n).
 
     The kernel depends only on the graph's density. Single-threaded at
     n = 60-300, the two kernels cost the same near 32 m = n^2 with lag and
@@ -274,7 +264,7 @@ def _vertex_coupling(system: OscillatorSystem, shape: tuple):
     """
     g = system.graph
     build = _edge_coupling if 32 * g.m < g.n * g.n else _dense_coupling
-    return build(g, system.beta, shape)
+    return build(g, system.beta, shape, scale)
 
 
 def integrate_vertex(
@@ -291,17 +281,30 @@ def integrate_vertex(
     equals its own single run up to roundoff. Phases are tracked unwrapped
     in R. With sigma-coupling switched off the integration is exact (RK4
     reproduces linear-in-t flows), which the tests use as a sanity anchor.
+    The RK4 step is fused: for f = w - sigma c, the kernel writes (h sigma / 2) c
+    into row k of a (4, *shape) buffer F, the stages take y, y + (h/2) w - F_0,
+    y + (h/2) w - F_1 and y + h w - 2 F_2, and the step is y + h w - [1, 2, 2, 1] F / 3.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    batch = theta0.shape[:1] if theta0.ndim == 2 else ()
-    theta0 = _initial_state(system, theta0, "theta0", batch + (system.graph.n,), dt, steps)
-    omega, sigma = system.omega, system.sigma
-    flow = _vertex_coupling(system, theta0.shape)
-
-    def rhs(theta):
-        return omega - sigma * flow(theta)
-
-    return Trajectory(t0=0.0, dt=float(dt), states=_rk4(rhs, theta0, dt, steps))
+    shape = (theta0.shape[:1] if theta0.ndim == 2 else ()) + (system.graph.n,)
+    theta0 = _initial_state(system, theta0, "theta0", shape, dt, steps)
+    flow = _vertex_coupling(system, shape, 0.5 * dt * system.sigma)
+    drift_half, drift = 0.5 * dt * system.omega, dt * system.omega
+    # One row of scaled coupling per stage, joined by one product per step.
+    rows = list((stacked := np.empty((4, math.prod(shape)))).reshape((4,) + shape))
+    combine = (np.array([1.0, 2.0, 2.0, 1.0]) / 3.0).dot
+    out = np.empty((steps + 1,) + shape)
+    out[0] = y = theta0
+    # Overflow surfaces as the BlowUpError below, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            mid, end = y + drift_half, y + drift
+            f = flow(y, rows[0])
+            f = flow(mid - f, rows[1])
+            f = flow(mid - f, rows[2])
+            flow(end - 2.0 * f, rows[3])
+            y = np.subtract(end, combine(stacked).reshape(shape), out=out[k])
+    return Trajectory(t0=0.0, dt=float(dt), states=_check_finite(out, dt))
 
 
 def integrate_coefficient(
@@ -356,10 +359,7 @@ def integrate_coefficient(
             s = sines(mid - gain_half(s), rows[2])
             sines(end - gain_full(s), rows[3])
             out[k] = y = end - gain_rk4(stacked)
-    finite = np.isfinite(out).all(axis=1)
-    if not finite.all():
-        raise BlowUpError(int(finite.argmin()), 0)
-    return CoefficientTrajectory(t0=0.0, dt=float(dt), coeffs=out, basis=basis)
+    return CoefficientTrajectory(t0=0.0, dt=float(dt), coeffs=_check_finite(out, dt), basis=basis)
 
 
 def decompose_trajectory(traj: Trajectory, basis: SpectralBasis) -> CoefficientTrajectory:

@@ -32,6 +32,34 @@ def two_oscillator_system(omega=(0.0, 0.0), sigma=1.0, w=1.0):
     return OscillatorSystem(graph=g, omega=np.asarray(omega, dtype=float), sigma=sigma)
 
 
+def rk4(rhs, y0, dt, steps):
+    """Oracle: classical fixed-step RK4 as a generic loop over a closure."""
+    out = np.empty((steps + 1,) + y0.shape)
+    out[0] = y = y0
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for k in range(1, steps + 1):
+        k1 = rhs(y)
+        k2 = rhs(y + half * k1)
+        k3 = rhs(y + half * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        out[k] = y
+    return out
+
+
+def reference_vertex(system, theta0, dt, steps):
+    """Oracle: the vertex right-hand side omega - sigma c(theta) as a closure
+    over the unscaled coupling kernel, stepped by the generic RK4 loop."""
+    flow = dynamics._vertex_coupling(system, theta0.shape, 1.0)
+    row = np.empty(theta0.shape)
+
+    def rhs(theta):
+        return system.omega - system.sigma * flow(theta, row)
+
+    return rk4(rhs, theta0, dt, steps)
+
+
 class TestVertexIntegration:
     def test_symmetric_pair_attracts(self):
         sys_ = two_oscillator_system()
@@ -87,17 +115,21 @@ class TestVertexIntegration:
     def test_blow_up_reports_step(self):
         # The pair runs the dense kernel, the path the edge list; both steps
         # are the ones a per-step finiteness test reports. Both steps are
-        # stable; the frequencies overflow the pair at step 1 and the path's
-        # ends at step 33.
+        # stable; the frequencies carry the pair, which starts next to the
+        # largest float, past it at step 1, and the path's ends at step 33.
         sys_ = two_oscillator_system(omega=(1e308, -1e308), sigma=0.1)
-        with pytest.raises(BlowUpError) as info:
-            integrate_vertex(sys_, np.array([0.3, -0.3]), dt=1.0, steps=10)
-        assert (info.value.step, info.value.row) == (1, 0)
+        with pytest.raises(BlowUpError, match=r"step 1 \(t = 1\), batch row 0") as info:
+            integrate_vertex(sys_, np.array([1e308, -1e308]), dt=1.0, steps=10)
+        assert (info.value.step, info.value.row, info.value.time) == (1, 0, 1.0)
+        assert np.array_equal(info.value.last_state, [1e308, -1e308])
         path = WeightedGraph(40, [(i, i + 1, 1.0) for i in range(39)])
         sys_ = OscillatorSystem(graph=path, omega=np.linspace(-5.5e306, 5.5e306, 40), sigma=0.1)
         with pytest.raises(BlowUpError) as info:
             integrate_vertex(sys_, np.linspace(-1.0, 1.0, 40), dt=1.0, steps=400)
-        assert info.value.step == 33
+        assert (info.value.step, info.value.row, info.value.time) == (33, 0, 33.0)
+        last = info.value.last_state
+        assert last.shape == (40,) and np.isfinite(last).all()
+        assert abs(last[-1] - 32 * 5.5e306) <= 1e-12 * last[-1]
 
     def test_input_validation(self):
         sys_ = two_oscillator_system()
@@ -147,28 +179,39 @@ def graph_at_density(rng, n, density):
     return WeightedGraph(n, [(a, b, rng.uniform(0.5, 1.5)) for a, b in sorted(edges)])
 
 
+def direct_coupling(g, beta, theta):
+    """sum_j A_ij sin(theta_i - theta_j + beta_ij) summed edge by edge."""
+    incidence = np.zeros((g.m, g.n))
+    incidence[np.arange(g.m), g.edge_i] = 1.0
+    incidence[np.arange(g.m), g.edge_j] = -1.0
+    return (g.edge_w * np.sin(theta[..., g.edge_i] - theta[..., g.edge_j] + beta)) @ incidence
+
+
 class TestCouplingKernels:
     @pytest.mark.parametrize("density", [0.01, 0.05, 0.2, 0.5, 1.0])
     @pytest.mark.parametrize("lagged", [False, True])
     def test_dense_matches_edge_list(self, density, lagged):
-        # A batch of three rows on each kernel; every row also matches its
-        # own batch-of-one call.
+        # A batch of three rows on each kernel, with a scale folded in; every
+        # row also matches its own batch-of-one call, each kernel writes into
+        # the row it is given, and both match the edge-by-edge sum.
         rng = np.random.default_rng(int(density * 100) + lagged)
         g = graph_at_density(rng, 120, density)
         beta = rng.uniform(-1.0, 1.0, g.m) if lagged else np.zeros(g.m)
-        edge = dynamics._edge_coupling(g, beta, (3, g.n))
-        dense = dynamics._dense_coupling(g, beta, (3, g.n))
+        edge = dynamics._edge_coupling(g, beta, (3, g.n), 0.37)
+        dense = dynamics._dense_coupling(g, beta, (3, g.n), 0.37)
         for _ in range(2):
             theta = rng.uniform(-np.pi, np.pi, (3, g.n))
-            ref = edge(theta)
+            ref = edge(theta, np.empty((3, g.n)))
             scale = np.abs(ref).max()
-            assert np.abs(dense(theta) - ref).max() <= 1e-12 * scale
+            assert np.abs(ref - 0.37 * direct_coupling(g, beta, theta)).max() <= 1e-12 * scale
+            assert np.abs(dense(theta, np.empty((3, g.n))) - ref).max() <= 1e-12 * scale
             for shape in ((g.n,), (1, g.n)):
                 for build in (dynamics._edge_coupling, dynamics._dense_coupling):
-                    flow = build(g, beta, shape)
+                    flow = build(g, beta, shape, 0.37)
                     for b in range(3):
-                        row = flow(theta[b].reshape(shape))
-                        assert row.shape == shape
+                        out = np.empty(shape)
+                        row = flow(theta[b].reshape(shape), out)
+                        assert row is out
                         assert np.abs(row - ref[b]).max() <= 1e-12 * scale
 
     def test_dispatch_follows_density(self):
@@ -186,7 +229,7 @@ class TestCouplingKernels:
         for g, kernel in ((sbm, "edge_flow"), (nested, "dense_flow")):
             sys_ = OscillatorSystem(graph=g, omega=np.zeros(g.n), sigma=1.0)
             for shape in ((g.n,), (10, g.n)):
-                assert dynamics._vertex_coupling(sys_, shape).__name__ == kernel
+                assert dynamics._vertex_coupling(sys_, shape, 1.0).__name__ == kernel
 
     @pytest.mark.parametrize("density", [0.02, 0.6])
     def test_trajectories_agree_on_both_kernels(self, density):
@@ -198,9 +241,70 @@ class TestCouplingKernels:
         theta0 = rng.uniform(-np.pi, np.pi, g.n)
         traj = integrate_vertex(sys_, theta0, dt=0.01, steps=500)
         for build in (dynamics._edge_coupling, dynamics._dense_coupling):
-            flow = build(g, beta, theta0.shape)
-            ref = dynamics._rk4(lambda th: omega - 0.7 * flow(th), theta0, 0.01, 500)
+            flow = build(g, beta, theta0.shape, 1.0)
+            row = np.empty(g.n)
+            ref = rk4(lambda th: omega - 0.7 * flow(th, row), theta0, 0.01, 500)
             assert np.abs(traj.states - ref).max() < 1e-10
+
+
+def fused_vertex_case(name):
+    """(system, theta0, dt, kernel) for one graph the fused vertex step is
+    pinned on: fig4's nested graph at B = 1 and B = 3, sparse and dense
+    n = 60 graphs with and without lag, and the two-oscillator pair."""
+    rng = np.random.default_rng(44)
+    if name.startswith("fig4"):
+        config = experiments.scenario_config("fig4_hierarchical")
+        g, _ = nested_aep(levels=tuple(config["levels"]), leaf_size=config["leaf_size"],
+                          level_weights=tuple(config["level_weights"]),
+                          leaf_weight_range=tuple(config["leaf_weight_range"]),
+                          jitter=config["jitter"], seed=0)
+        sys_ = OscillatorSystem(graph=g, omega=np.zeros(g.n), sigma=config["sigma"])
+        batch = (1,) if name == "fig4_b1" else (3,)
+        return sys_, rng.uniform(-1.0, 1.0, batch + (g.n,)), config["dt"]
+    if name == "pair":
+        sys_ = two_oscillator_system(omega=(0.4, -0.3), sigma=1.2)
+        return sys_, np.array([0.3, -0.2]), 0.01
+    g = graph_at_density(rng, 60, 0.6 if name.startswith("dense") else 0.02)
+    beta = rng.uniform(-0.3, 0.3, g.m) if name.endswith("lagged") else None
+    sys_ = OscillatorSystem(graph=g, omega=rng.normal(0.0, 0.5, g.n), sigma=0.7, beta=beta)
+    return sys_, rng.uniform(-np.pi, np.pi, g.n), 0.01
+
+
+class TestFusedVertexStep:
+    @pytest.mark.parametrize("name, kernel", [
+        ("fig4_b1", "dense_flow"),
+        ("fig4_b3", "dense_flow"),
+        ("sparse60", "edge_flow"),
+        ("sparse60_lagged", "edge_flow"),
+        ("dense60_lagged", "dense_flow"),
+        ("pair", "dense_flow"),
+    ])
+    def test_matches_reference(self, name, kernel):
+        sys_, theta0, dt = fused_vertex_case(name)
+        assert dynamics._vertex_coupling(sys_, theta0.shape, 1.0).__name__ == kernel
+        fused = integrate_vertex(sys_, theta0, dt, 300).states
+        expected = reference_vertex(sys_, theta0, dt, 300)
+        assert fused.shape == expected.shape
+        assert np.abs(fused - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("density", [0.02, 0.6])
+    def test_rk4_convergence_order_with_lag(self, density):
+        # A wrong stage weight or drift leaves a first- or second-order
+        # error, on either kernel. sigma is weak enough that the dense graph
+        # has not locked by t = 2, which would leave only roundoff to compare.
+        rng = np.random.default_rng(45)
+        g = graph_at_density(rng, 60, density)
+        beta = rng.uniform(-0.3, 0.3, g.m)
+        sys_ = OscillatorSystem(graph=g, omega=rng.normal(0.0, 0.5, g.n), sigma=0.1, beta=beta)
+        theta0 = rng.uniform(-np.pi, np.pi, g.n)
+
+        def final_state(dt, steps):
+            return integrate_vertex(sys_, theta0, dt=dt, steps=steps).states[-1]
+
+        reference = final_state(0.0025, 800)
+        err_coarse = np.abs(final_state(0.02, 100) - reference).max()
+        err_fine = np.abs(final_state(0.01, 200) - reference).max()
+        assert 12.0 < err_coarse / err_fine < 20.0
 
 
 class TestBatchedVertexIntegration:
@@ -235,10 +339,11 @@ class TestBatchedVertexIntegration:
         # A stable step: the frequencies carry row 1, which starts next to
         # the largest float, past it at step 1, and row 0 only at step 18.
         sys_ = two_oscillator_system(omega=(1e307, -1e307), sigma=0.1)
-        with pytest.raises(BlowUpError, match="step 1, batch row 1") as info:
+        with pytest.raises(BlowUpError, match=r"step 1 \(t = 1\), batch row 1") as info:
             integrate_vertex(sys_, np.array([[0.0, 0.0], [1.79e308, -1.79e308]]), dt=1.0,
                              steps=10)
-        assert (info.value.step, info.value.row) == (1, 1)
+        assert (info.value.step, info.value.row, info.value.time) == (1, 1, 1.0)
+        assert np.array_equal(info.value.last_state, [1.79e308, -1.79e308])
 
     def test_cluster_spread_takes_one_trajectory(self):
         sys_ = two_oscillator_system()
@@ -278,7 +383,7 @@ class TestSystemValidation:
 
 def reference_coefficient(system, basis, alpha0, dt, steps):
     """Oracle: the coefficient right-hand side as a closure, stepped by the
-    generic RK4 loop that the vertex form uses."""
+    generic RK4 loop."""
     omega_spec = basis.vertex_vectors.T @ system.omega
     edge_phase = basis.edge_vectors.copy()
     edge_phase[:, 0] = 0.0
@@ -291,7 +396,7 @@ def reference_coefficient(system, basis, alpha0, dt, steps):
             phase += beta
         return omega_spec - gain @ np.sin(phase)
 
-    return dynamics._rk4(rhs, np.asarray(alpha0, dtype=float), dt, steps)
+    return rk4(rhs, np.asarray(alpha0, dtype=float), dt, steps)
 
 
 def fused_step_systems():
@@ -400,9 +505,10 @@ class TestCoefficientIntegration:
         sys_ = two_oscillator_system(omega=(1e308, -1e308), sigma=0.1)
         basis = spectral_basis(sys_.graph)
         alpha0 = decompose(np.array([0.3, -0.3]), basis)
-        with pytest.raises(BlowUpError, match="step 1, batch row 0") as info:
+        with pytest.raises(BlowUpError, match=r"step 1 \(t = 1\), batch row 0") as info:
             integrate_coefficient(sys_, basis, alpha0, dt=1.0, steps=10)
-        assert (info.value.step, info.value.row) == (1, 0)
+        assert (info.value.step, info.value.row, info.value.time) == (1, 0, 1.0)
+        assert np.array_equal(info.value.last_state, alpha0)
 
     def test_matches_vertex_integration(self):
         rng = np.random.default_rng(34)
