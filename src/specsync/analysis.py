@@ -243,27 +243,20 @@ def segment_regimes(
         for s, e in zip(starts, ends)
     ]
 
-    def duration(run):
-        return (run[1] - run[0]) * sim.dt
-
-    # Absorb sub-dwell runs, shortest first, then re-merge equal neighbors.
+    # Absorb sub-dwell runs, shortest first. Neighboring runs always differ,
+    # so absorbing run idx into run idx - 1 can only make that run equal to
+    # run idx + 1, which then joins it as well.
     while len(runs) > 1:
-        idx = min(range(len(runs)), key=lambda i: (duration(runs[i]), i))
-        if duration(runs[idx]) >= min_dwell:
+        idx = min(range(len(runs)), key=lambda i: (runs[i][1] - runs[i][0], i))
+        if (runs[idx][1] - runs[idx][0]) * sim.dt >= min_dwell:
             break
         if idx == 0:
             runs[1][0] = runs[0][0]
             del runs[0]
         else:
-            runs[idx - 1][1] = runs[idx][1]
-            del runs[idx]
-        merged = [runs[0]]
-        for run in runs[1:]:
-            if run[2] == merged[-1][2]:
-                merged[-1][1] = run[1]
-            else:
-                merged.append(run)
-        runs = merged
+            last = idx + (idx + 1 < len(runs) and runs[idx + 1][2] == runs[idx - 1][2])
+            runs[idx - 1][1] = runs[last][1]
+            del runs[idx:last + 1]
 
     times = sim.times
     return tuple(
@@ -285,17 +278,18 @@ def fit_decay_rates(
     """Least-squares decay rate of log |alpha_r(t)| per mode over a window.
 
     In the linearized regime with no forcing, |alpha_r| decays at
-    sigma lambda_r. Returns one rate per mode (NaN for mode 0, for modes
-    with fewer than 5 usable points, or when any sampled value in
-    the window falls below amp_floor).
+    sigma lambda_r. Returns one rate per mode: NaN for mode 0, for all modes
+    if the window holds fewer than 5 samples, and for a mode with a sample
+    in the window below amp_floor, zero or non-finite; no mode's rate
+    depends on another mode's samples.
     """
     times = sim.times
     window = (times >= t_start) & (times <= t_end)
+    vals = np.abs(sim.coeffs[window])
+    # A zero or inf column would make the joint solve NaN for every mode.
+    fit = np.all((vals >= amp_floor) & (vals > 0) & np.isfinite(vals), axis=0)
+    fit[0] = False
     rates = np.full(sim.n, np.nan)
-    for r in range(1, sim.n):
-        vals = np.abs(sim.coeffs[window, r])
-        if vals.size < 5 or np.any(vals < amp_floor):
-            continue
-        slope = np.polyfit(times[window], np.log(vals), 1)[0]
-        rates[r] = -slope
+    if vals.shape[0] >= 5:
+        rates[fit] = -np.polyfit(times[window], np.log(vals[:, fit]), 1)[0]
     return rates

@@ -638,14 +638,10 @@ def _scn_phase_lag_ex1(config, seed):
 def _scn_phase_lag_ex2(config, seed):
     c = config["clique_size"]
     w = config["weight"]
-    edges = []
-    for base in (0, c):
-        for a in range(c):
-            for b in range(a + 1, c):
-                edges.append((base + a, base + b, w))
-    for a in range(c):
-        edges.append((a, a + c, w))
-    g = WeightedGraph(2 * c, edges)
+    # Two c-cliques joined by the matching a -- a + c.
+    a, b = np.triu_indices(c, 1)
+    ends = np.hstack([[a, b], [a + c, b + c], [range(c), range(c, 2 * c)]])
+    g = WeightedGraph(2 * c, np.column_stack([*ends, np.full(ends.shape[1], w)]))
     p = VertexPartition([0] * c + [1] * c)
     basis = spectral_basis(g)
     rng = np.random.default_rng(seed)

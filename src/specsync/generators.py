@@ -115,38 +115,27 @@ def planted_aep(config: PlantedAepConfig) -> tuple[WeightedGraph, VertexPartitio
     n = int(offsets[-1])
     d = np.asarray(config.quotient_weights, dtype=float)
 
-    edges: list[tuple[int, int, float]] = []
+    blocks = []
     for i in range(k):
         for j in range(i + 1, k):
             if d[i, j] <= 0.0:
                 continue
             block = _fit_cross_block(rng, sizes[i], sizes[j], d[i, j], d[j, i])
-            for a in range(sizes[i]):
-                for b in range(sizes[j]):
-                    edges.append((offsets[i] + a, offsets[j] + b, block[a, b]))
+            a, b = np.indices(block.shape).reshape(2, -1)
+            blocks.append(np.column_stack([offsets[i] + a, offsets[j] + b, block.ravel()]))
     lo, hi = config.intra_weight_range
+    # Pair by pair, because one generator draws one random() per pair and one
+    # uniform() per kept pair: array draws would change every planted graph.
+    intra = []
     for i in range(k):
         for a in range(sizes[i]):
             for b in range(a + 1, sizes[i]):
                 if rng.random() < config.intra_density:
-                    edges.append(
-                        (offsets[i] + a, offsets[i] + b, rng.uniform(lo, hi))
-                    )
+                    intra.append((offsets[i] + a, offsets[i] + b, rng.uniform(lo, hi)))
 
-    graph = WeightedGraph(n, edges)
+    graph = WeightedGraph(n, np.concatenate(blocks + [np.reshape(intra, (-1, 3))]))
     assignment = np.repeat(np.arange(k), sizes)
     return graph, VertexPartition(assignment, k)
-
-
-def _level_partitions(levels: tuple[int, ...], leaf_size: int) -> list[VertexPartition]:
-    """Partitions at each hierarchy depth, coarsest first."""
-    counts = np.cumprod(levels)
-    n = int(counts[-1]) * leaf_size
-    parts = []
-    for depth, cells in enumerate(counts):
-        group = n // int(cells)
-        parts.append(VertexPartition(np.arange(n) // group, int(cells)))
-    return parts
 
 
 def nested_aep(
@@ -189,7 +178,7 @@ def nested_aep(
     counts = np.cumprod(levels)
     n = int(counts[-1]) * leaf_size
     groups = n // counts
-    parts = _level_partitions(levels, leaf_size)
+    parts = [VertexPartition(np.arange(n) // g, int(c)) for g, c in zip(groups, counts)]
     lo, hi = leaf_weight_range
     i, j = np.triu_indices(n, 1)
     # The depth at which each pair splits; len(levels) inside one leaf.

@@ -15,6 +15,7 @@ from specsync import (
     single_mode_solution,
     segment_regimes,
     fit_decay_rates,
+    Regime,
 )
 
 from conftest import oracle_x_coupling, random_connected_graph
@@ -37,6 +38,68 @@ def report_entry(system, basis, r):
 def synthetic_traj(basis, times, coeffs):
     dt = times[1] - times[0]
     return CoefficientTrajectory(t0=float(times[0]), dt=float(dt), coeffs=coeffs, basis=basis)
+
+
+def reference_segment_regimes(sim, threshold, min_dwell):
+    """Oracle: the absorption loop that rebuilt the whole run list after
+    every absorption to re-merge equal neighbors."""
+    active = np.abs(sim.coeffs[:, 1:]) > threshold
+    changes = np.flatnonzero(np.any(active[1:] != active[:-1], axis=1)) + 1
+    starts = np.concatenate([[0], changes])
+    ends = np.concatenate([changes, [active.shape[0]]])
+    runs = [[int(s), int(e), frozenset(np.flatnonzero(active[s]) + 1)]
+            for s, e in zip(starts, ends)]
+
+    def duration(run):
+        return (run[1] - run[0]) * sim.dt
+
+    while len(runs) > 1:
+        idx = min(range(len(runs)), key=lambda i: (duration(runs[i]), i))
+        if duration(runs[idx]) >= min_dwell:
+            break
+        if idx == 0:
+            runs[1][0] = runs[0][0]
+            del runs[0]
+        else:
+            runs[idx - 1][1] = runs[idx][1]
+            del runs[idx]
+        merged = [runs[0]]
+        for run in runs[1:]:
+            if run[2] == merged[-1][2]:
+                merged[-1][1] = run[1]
+            else:
+                merged.append(run)
+        runs = merged
+
+    times = sim.times
+    return tuple(
+        Regime(float(times[s]), float(times[e - 1] if e == len(times) else times[e]),
+               tuple(sorted(modes)))
+        for s, e, modes in runs
+    )
+
+
+def reference_fit_decay_rates(sim, t_start, t_end, amp_floor=1e-12):
+    """Oracle: one np.polyfit per mode."""
+    times = sim.times
+    window = (times >= t_start) & (times <= t_end)
+    rates = np.full(sim.n, np.nan)
+    for r in range(1, sim.n):
+        vals = np.abs(sim.coeffs[window, r])
+        if vals.size < 5 or np.any(vals < amp_floor):
+            continue
+        rates[r] = -np.polyfit(times[window], np.log(vals), 1)[0]
+    return rates
+
+
+def noisy_decays(rng, samples, n, dt=0.01):
+    """Signed exponentials at random rates with log-normal noise, every
+    sample finite and far above 1e-12."""
+    times = rng.uniform(0.0, 2.0) + dt * np.arange(samples)
+    logs = (rng.normal(0.0, 1.0, n) - rng.uniform(0.0, 3.0, n) * times[:, None]
+            + 0.05 * rng.normal(size=(samples, n)))
+    coeffs = rng.choice([-1.0, 1.0], size=(samples, n)) * np.exp(logs)
+    return CoefficientTrajectory(t0=float(times[0]), dt=dt, coeffs=coeffs, basis=None)
 
 
 class TestLinearSolution:
@@ -406,6 +469,28 @@ class TestSegmentRegimes:
                 if lams[r] < lams[s] - 1e-9:
                     assert last_active[r] >= last_active[s]
 
+    def test_matches_rescan_reference(self):
+        # Piecewise-constant activity with short flickers, so that absorbing
+        # a flicker often makes its two neighbors equal.
+        rng = np.random.default_rng(81)
+        for trial in range(1200):
+            n = int(rng.integers(2, 6))
+            lengths = rng.integers(1, 25, size=int(rng.integers(1, 12)))
+            active = np.repeat(rng.random((lengths.size, n - 1)) < 0.5, lengths, axis=0)
+            for _ in range(int(rng.integers(0, 8))):
+                at = int(rng.integers(0, active.shape[0]))
+                active[at:at + int(rng.integers(1, 4)), int(rng.integers(0, n - 1))] ^= True
+            coeffs = np.zeros((active.shape[0], n))
+            coeffs[:, 1:] = np.where(active, rng.uniform(0.6, 2.0, active.shape),
+                                     rng.uniform(0.0, 0.4, active.shape))
+            coeffs *= rng.choice([-1.0, 1.0], size=coeffs.shape)
+            dt = float(rng.choice([0.05, 0.1, 0.25]))
+            traj = CoefficientTrajectory(t0=float(rng.uniform(-1.0, 1.0)), dt=dt,
+                                         coeffs=coeffs, basis=None)
+            min_dwell = float(rng.uniform(0.0, 30.0)) * dt
+            assert (segment_regimes(traj, 0.5, min_dwell)
+                    == reference_segment_regimes(traj, 0.5, min_dwell)), trial
+
     def test_threshold_is_required_and_positive(self):
         basis = self._basis(3)
         times = np.arange(0.0, 10.0, 0.1)
@@ -429,6 +514,41 @@ class TestFitDecayRates:
         rates = fit_decay_rates(traj, 0.0, 5.0)
         assert np.isnan(rates[0])
         assert np.allclose(rates[1:], sigma * basis.eigenvalues[1:], rtol=1e-10)
+
+    def test_matches_per_mode_fits(self):
+        rng = np.random.default_rng(72)
+        for _ in range(30):
+            traj = noisy_decays(rng, int(rng.integers(3, 400)), int(rng.integers(1, 9)))
+            t = traj.times
+            lo, hi = np.sort(rng.uniform(t[0] - 0.5, t[-1] + 0.5, 2))
+            rates = fit_decay_rates(traj, lo, hi)
+            np.testing.assert_allclose(rates, reference_fit_decay_rates(traj, lo, hi),
+                                       rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("amp_floor", [1e-12, 0.0])
+    def test_unfit_modes_are_nan_and_leave_the_rest(self, amp_floor):
+        rng = np.random.default_rng(73)
+        clean = noisy_decays(rng, 200, 8)
+        coeffs = clean.coeffs.copy()
+        coeffs[17, 2] = 1e-13 if amp_floor else 0.0  # below the floor, or zero
+        coeffs[50, 3] = np.inf
+        coeffs[120, 4] = -np.inf
+        coeffs[199, 5] = 0.0
+        traj = CoefficientTrajectory(t0=clean.t0, dt=clean.dt, coeffs=coeffs, basis=None)
+        lo, hi = clean.times[0], clean.times[-1]
+        rates = fit_decay_rates(traj, lo, hi, amp_floor=amp_floor)
+        assert np.isnan(rates[[0, 2, 3, 4, 5]]).all()
+        kept = [1, 6, 7]
+        assert np.isfinite(rates[kept]).all()
+        expected = reference_fit_decay_rates(clean, lo, hi, amp_floor=amp_floor)
+        np.testing.assert_allclose(rates[kept], expected[kept], rtol=1e-12, atol=0.0)
+
+    def test_short_window_is_all_nan(self):
+        traj = noisy_decays(np.random.default_rng(74), 50, 4)
+        t = traj.times
+        assert np.isnan(fit_decay_rates(traj, t[10], t[13])).all()  # 4 samples
+        rates = fit_decay_rates(traj, t[10], t[14])  # 5 samples
+        assert np.isnan(rates[0]) and np.isfinite(rates[1:]).all()
 
     def test_simulated_uniform_frequency_decay(self):
         # Linear-regime slopes of log |alpha_r| match sigma lambda_r within

@@ -3,33 +3,11 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, settings
 
-from specsync import OscillatorSystem, WeightedGraph, discriminant_report, spectral_basis
+from specsync import discriminant_report, spectral_basis
 
-
-@st.composite
-def relabelled_systems(draw):
-    """A connected weighted system and the same system with its vertices
-    permuted and its edge list shuffled."""
-    n = draw(st.integers(3, 9))
-    tree = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
-    chords = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                          .filter(lambda e: e[0] < e[1]), max_size=n))
-    pairs = sorted(set(tree) | chords)
-    unit = st.floats(0.5, 1.5, allow_nan=False)
-    edges = [(i, j, draw(unit)) for i, j in pairs]
-    omega = draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=n, max_size=n))
-    sigma = draw(st.floats(0.2, 3.0, allow_nan=False))
-    perm = draw(st.permutations(range(n)))
-    order = draw(st.permutations(range(len(edges))))
-    moved = [(perm[edges[a][0]], perm[edges[a][1]], edges[a][2]) for a in order]
-    moved_omega = np.empty(n)
-    moved_omega[list(perm)] = omega
-    return (
-        OscillatorSystem(graph=WeightedGraph(n, edges), omega=np.array(omega), sigma=sigma),
-        OscillatorSystem(graph=WeightedGraph(n, moved), omega=moved_omega, sigma=sigma),
-    )
+from conftest import relabelled_systems
 
 
 @settings(max_examples=60, deadline=None)

@@ -435,3 +435,17 @@ class TestFig6Construction:
         assert entries[r1].delta < 0
         assert all(e.delta > 0 for m, e in entries.items() if m != r1)
         assert g.n == 6 and p.k == 3
+
+
+class TestPhaseLagEx2Graph:
+    @pytest.mark.parametrize("clique_size", [2, 5, 7])
+    def test_matches_loop_build(self, monkeypatch, clique_size):
+        real = experiments.spectral_basis
+        built = []
+        monkeypatch.setattr(experiments, "spectral_basis", lambda g: built.append(g) or real(g))
+        run_scenario("phase_lag_ex2", {"clique_size": clique_size, "steps": 10})
+        c, w = clique_size, scenario_config("phase_lag_ex2")["weight"]
+        edges = [(base + a, base + b, w) for base in (0, c) for a in range(c)
+                 for b in range(a + 1, c)]
+        edges += [(a, a + c, w) for a in range(c)]
+        assert built == [WeightedGraph(2 * c, edges)]

@@ -5,6 +5,7 @@ from specsync import generators
 from specsync import (
     PlantedAepConfig,
     SbmConfig,
+    VertexPartition,
     WeightedGraph,
     adjacency,
     laplacian,
@@ -127,6 +128,59 @@ class TestPlantedAep:
             assert check_aep(g, p).max_deviation <= 1e-9
 
 
+def reference_planted_aep(config):
+    """Oracle: the tuple-per-edge construction, each cross block edge by edge
+    in (a, b) order."""
+    rng = np.random.default_rng(config.seed)
+    sizes = np.asarray(config.cell_sizes, dtype=int)
+    k = sizes.size
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    d = np.asarray(config.quotient_weights, dtype=float)
+    edges = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            if d[i, j] <= 0.0:
+                continue
+            block = generators._fit_cross_block(rng, sizes[i], sizes[j], d[i, j], d[j, i])
+            for a in range(sizes[i]):
+                for b in range(sizes[j]):
+                    edges.append((offsets[i] + a, offsets[j] + b, block[a, b]))
+    lo, hi = config.intra_weight_range
+    for i in range(k):
+        for a in range(sizes[i]):
+            for b in range(a + 1, sizes[i]):
+                if rng.random() < config.intra_density:
+                    edges.append((offsets[i] + a, offsets[i] + b, rng.uniform(lo, hi)))
+    return WeightedGraph(int(offsets[-1]), edges)
+
+
+class TestPlantedAepReference:
+    def test_bit_identical_to_tuple_loop(self):
+        # Random spanning trees of cells plus optional extra cross pairs, so
+        # some cell pairs share no edges; cells of one vertex included.
+        rng = np.random.default_rng(61)
+        for seed in range(30):
+            k = int(rng.integers(2, 6))
+            sizes = tuple(int(s) for s in rng.integers(1, 7, size=k))
+            d = np.zeros((k, k))
+            pairs = {(int(rng.integers(0, j)), j) for j in range(1, k)}
+            pairs |= {(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.4}
+            for i, j in pairs:
+                d[i, j] = rng.uniform(0.5, 2.0)
+                d[j, i] = d[i, j] * sizes[i] / sizes[j]
+            lo = float(rng.uniform(0.2, 1.0))
+            cfg = PlantedAepConfig(
+                cell_sizes=sizes,
+                quotient_weights=tuple(map(tuple, d)),
+                intra_density=float(rng.uniform(0.0, 1.0)),
+                intra_weight_range=(lo, lo * float(rng.uniform(1.0, 2.0))),
+                seed=seed,
+            )
+            g, p = planted_aep(cfg)
+            assert g == reference_planted_aep(cfg), seed
+            assert np.array_equal(p.assignment, np.repeat(np.arange(k), sizes))
+
+
 def reference_nested_aep(levels, leaf_size, level_weights, leaf_weight_range, jitter, seed,
                          max_retries=5):
     """Oracle: the tuple-per-edge construction, one scalar draw per sibling
@@ -134,7 +188,7 @@ def reference_nested_aep(levels, leaf_size, level_weights, leaf_weight_range, ji
     passed), or None at the retry cap."""
     counts = np.cumprod(levels)
     n = int(counts[-1]) * leaf_size
-    parts = generators._level_partitions(levels, leaf_size)
+    parts = [VertexPartition(np.arange(n) // (n // int(cells)), int(cells)) for cells in counts]
     lo, hi = leaf_weight_range
     for attempt in range(max_retries):
         rng = np.random.default_rng(seed + attempt)
