@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CoefficientTrajectory, OscillatorSystem
+from .dynamics import CoefficientTrajectory, OscillatorSystem, _one_trajectory
 from .spectral import SpectralBasis
 
 __all__ = [
@@ -232,14 +232,14 @@ def segment_regimes(
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    active = np.abs(sim.coeffs[:, 1:]) > threshold  # (samples, n-1)
+    active = np.abs(_one_trajectory(sim.coeffs, "segment_regimes")[:, 1:]) > threshold
 
     # Run-length encode the per-sample active sets.
     changes = np.flatnonzero(np.any(active[1:] != active[:-1], axis=1)) + 1
     starts = np.concatenate([[0], changes])
     ends = np.concatenate([changes, [active.shape[0]]])
     runs = [
-        [int(s), int(e), frozenset(np.flatnonzero(active[s]) + 1)]
+        [int(s), int(e), tuple((np.flatnonzero(active[s]) + 1).tolist())]
         for s, e in zip(starts, ends)
     ]
 
@@ -263,7 +263,7 @@ def segment_regimes(
         Regime(
             t_start=float(times[s]),
             t_end=float(times[e - 1] if e == len(times) else times[e]),
-            active=tuple(sorted(modes)),
+            active=modes,
         )
         for s, e, modes in runs
     )
@@ -285,7 +285,7 @@ def fit_decay_rates(
     """
     times = sim.times
     window = (times >= t_start) & (times <= t_end)
-    vals = np.abs(sim.coeffs[window])
+    vals = np.abs(_one_trajectory(sim.coeffs, "fit_decay_rates")[window])
     # A zero or inf column would make the joint solve NaN for every mode.
     fit = np.all((vals >= amp_floor) & (vals > 0) & np.isfinite(vals), axis=0)
     fit[0] = False

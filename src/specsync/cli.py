@@ -69,9 +69,6 @@ def _out_dir(args) -> Path:
 
 def _cmd_generate(args) -> None:
     config = _load(_read_config, args.config, "--config")
-    reserved = sorted({"seed", "max_retries"} & config.keys())
-    if reserved:  # --seed sets the seed; max_retries stays at the library default
-        raise ValueError(f"--config {args.config}: {', '.join(reserved)} cannot be set here")
     if args.kind == "nested-aep":
         graph, partitions = nested_aep(**config, seed=args.seed)
     elif args.kind == "planted-aep":

@@ -167,6 +167,13 @@ def _check_finite(out: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _one_trajectory(states: np.ndarray, what: str) -> np.ndarray:
+    """states, or a ValueError when they hold a batch of trajectories."""
+    if states.ndim != 2:
+        raise ValueError(f"{what} takes one trajectory; pass states[:, b] of a batch")
+    return states
+
+
 def _initial_state(system: OscillatorSystem, state: np.ndarray, name: str, shape: tuple,
                    dt, steps) -> np.ndarray:
     """Check an integrator's run inputs against the initial state's shape.
@@ -412,12 +419,7 @@ def cluster_spread(traj: Trajectory, partition, at: int) -> np.ndarray:
     """
     if partition.n != traj.n:
         raise ValueError("partition does not match trajectory width")
-    if traj.states.ndim != 2:
-        raise ValueError("cluster_spread takes one trajectory; pass states[:, b] of a batch")
-    count = traj.states.shape[0]
-    if not -count <= at < count:
-        raise IndexError(f"sample index {at} out of range")
-    theta = traj.states[at]
+    theta = _one_trajectory(traj.states, "cluster_spread")[at]
     spreads = np.zeros(partition.k)
     for c, cell in enumerate(partition.cells()):
         if cell.size < 2:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import WeightedGraph, VertexPartition
-from .dynamics import Trajectory, CoefficientTrajectory
+from .dynamics import Trajectory, CoefficientTrajectory, _one_trajectory
 
 __all__ = [
     "save_graph",
@@ -30,10 +30,7 @@ __all__ = [
 
 
 def save_graph(g: WeightedGraph, path) -> None:
-    payload = {
-        "n": g.n,
-        "edges": [[int(i), int(j), float(w)] for i, j, w in g.edges],
-    }
+    payload = {"n": g.n, "edges": g.edges}
     Path(path).write_text(json.dumps(payload) + "\n")
 
 
@@ -62,8 +59,7 @@ def write_table(path, header, rows) -> None:
 
 
 def _write_timeseries(path, times: np.ndarray, series: np.ndarray, prefix: str) -> None:
-    if series.ndim != 2:
-        raise ValueError("a trajectory CSV holds one trajectory; pass states[:, b] of a batch")
+    _one_trajectory(series, "a trajectory CSV writer")
     # Python floats format faster than numpy scalars; one row at a time
     # keeps the memory of a whole-array tolist() away.
     header = ["t", *(f"{prefix}_{i}" for i in range(series.shape[1]))]
@@ -84,14 +80,14 @@ def read_timeseries_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return raw[:, 0], raw[:, 1:]
 
 
-def load_vector(spec: str, expected_len: int | None = None) -> np.ndarray:
-    """Parse a vector given inline as a JSON array or as a path to one."""
+def load_vector(spec: str, expected_len: int) -> np.ndarray:
+    """Parse an expected_len-entry vector given inline as a JSON array or as a path to one."""
     text = spec.strip()
     if not text.startswith("["):
         text = Path(spec).read_text()
     vec = np.asarray(json.loads(text), dtype=float)
     if vec.ndim != 1:
         raise ValueError("expected a flat JSON array")
-    if expected_len is not None and vec.size != expected_len:
+    if vec.size != expected_len:
         raise ValueError(f"expected {expected_len} entries, got {vec.size}")
     return vec

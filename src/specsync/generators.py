@@ -30,6 +30,9 @@ __all__ = [
     "sample_sbm",
 ]
 
+_NESTED_ATTEMPTS = 5
+_SBM_DRAWS = 50
+
 
 @dataclass(frozen=True)
 class PlantedAepConfig:
@@ -89,16 +92,14 @@ def _fit_cross_block(
     cols: int,
     row_sum: float,
     col_sum: float,
-    tol: float = 1e-14,
-    max_iter: int = 1000,
 ) -> np.ndarray:
     """Random positive rows x cols matrix with exact row sums and column
     sums matched to ~1e-14 relative, via iterative proportional fitting."""
     mat = rng.uniform(0.5, 1.5, size=(rows, cols))
-    for _ in range(max_iter):
+    for _ in range(1000):
         mat *= (row_sum / mat.sum(axis=1))[:, None]
         col = mat.sum(axis=0)
-        if np.abs(col - col_sum).max() <= tol * col_sum:
+        if np.abs(col - col_sum).max() <= 1e-14 * col_sum:
             break
         mat *= (col_sum / col)[None, :]
     # Final row scaling: row sums exact, column residual stays ~1e-14.
@@ -145,7 +146,6 @@ def nested_aep(
     leaf_weight_range: tuple[float, float] = (1.0, 1.4),
     jitter: float = 0.05,
     seed: int = 0,
-    max_retries: int = 5,
 ) -> tuple[WeightedGraph, list[VertexPartition]]:
     """Hierarchically clustered complete graph whose every level is an exact AEP.
 
@@ -162,7 +162,7 @@ def nested_aep(
     is verified to place structural modes of coarser levels at strictly
     smaller eigenvalues than finer ones (and all of them below the
     nonstructural modes); if the check fails the jitter is halved and the
-    construction retried, and RuntimeError is raised at the retry cap.
+    construction retried, and RuntimeError is raised after 5 attempts.
     """
     levels = tuple(int(b) for b in levels)
     if not levels or any(b < 2 for b in levels):
@@ -184,7 +184,7 @@ def nested_aep(
     # The depth at which each pair splits; len(levels) inside one leaf.
     split = sum((i // group == j // group).astype(int) for group in groups)
 
-    for attempt in range(max_retries):
+    for attempt in range(_NESTED_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
         w = np.empty(i.size)
         # One jittered weight per sibling-subtree pair, drawn in (c1, c2)
@@ -268,7 +268,6 @@ class SbmConfig:
     block_sizes: tuple[int, ...]
     probabilities: tuple[tuple[float, ...], ...]
     seed: int = 0
-    max_retries: int = 50
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.block_sizes)
@@ -291,8 +290,8 @@ class SbmConfig:
 def sample_sbm(config: SbmConfig) -> tuple[WeightedGraph, VertexPartition]:
     """Draw one connected SBM sample with its block partition: one uniform
     per pair i < j in row-major order, each row's probabilities one run per
-    contiguous block. Raises RuntimeError when max_retries consecutive
-    samples come out disconnected (probabilities too sparse).
+    contiguous block. Raises RuntimeError when 50 consecutive samples come
+    out disconnected (probabilities too sparse).
     """
     rng = np.random.default_rng(config.seed)
     sizes = np.asarray(config.block_sizes, dtype=int)
@@ -303,7 +302,7 @@ def sample_sbm(config: SbmConfig) -> tuple[WeightedGraph, VertexPartition]:
     row_start = rows * (2 * n - 1 - rows) // 2  # sum of n - 1 - r over r < i
     runs = np.clip(np.cumsum(sizes) - 1 - rows[:, None], 0, sizes)
     probs = np.repeat(pr[assignment].ravel(), runs.ravel())
-    for _ in range(config.max_retries):
+    for _ in range(_SBM_DRAWS):
         hits = np.flatnonzero(rng.random(probs.size) < probs)
         i = np.repeat(rows, np.diff(np.searchsorted(hits, row_start), append=hits.size))
         edges = np.ones((hits.size, 3))
@@ -315,6 +314,6 @@ def sample_sbm(config: SbmConfig) -> tuple[WeightedGraph, VertexPartition]:
             continue
         return graph, VertexPartition(assignment, sizes.size)
     raise RuntimeError(
-        f"no connected sample in {config.max_retries} draws; "
+        f"no connected sample in {_SBM_DRAWS} draws; "
         "probabilities are too sparse"
     )

@@ -146,9 +146,7 @@ class VertexPartition:
         if not np.issubdtype(a.dtype, np.integer):
             if not np.all(a == np.floor(a)):
                 raise ValueError("cell indices must be integers")
-            a = a.astype(np.int64)
-        else:
-            a = a.astype(np.int64)
+        a = a.astype(np.int64)
         if k is None:
             k = int(a.max()) + 1
         k = int(k)

@@ -501,6 +501,15 @@ class TestSegmentRegimes:
             segment_regimes(traj, 0.0, min_dwell=1.0)
 
 
+def test_analysis_of_a_batch_is_rejected():
+    times = np.arange(0.0, 10.0, 0.1)
+    batch = CoefficientTrajectory(t0=0.0, dt=0.1, coeffs=np.ones((times.size, 2, 3)), basis=None)
+    with pytest.raises(ValueError, match="segment_regimes takes one trajectory"):
+        segment_regimes(batch, 0.5, min_dwell=1.0)
+    with pytest.raises(ValueError, match="fit_decay_rates takes one trajectory"):
+        fit_decay_rates(batch, 0.0, 10.0)
+
+
 class TestFitDecayRates:
     def test_exact_exponentials(self):
         g_edges = [(i, j, 1.0) for i in range(5) for j in range(i + 1, 5)]

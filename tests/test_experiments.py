@@ -7,16 +7,25 @@ import pytest
 
 from specsync import (
     OscillatorSystem,
+    PlantedAepConfig,
+    SbmConfig,
     WeightedGraph,
+    approximation_bound,
     available_scenarios,
     decompose,
+    discriminant_report,
+    equitable_error,
+    equitable_error_matrix,
     experiments,
     fileio,
     integrate_coefficient,
     integrate_vertex,
+    planted_aep,
     reconstruct_trajectory,
     run_scenario,
+    sample_sbm,
     scenario_config,
+    segment_regimes,
     spectral_basis,
 )
 from specsync.cli import main
@@ -177,6 +186,21 @@ class TestResultJson:
         with pytest.raises(TypeError):
             run_scenario("sbm_limit", out_dir=tmp_path)
         assert list((tmp_path / "sbm_limit").iterdir()) == []
+
+    def test_result_records_dump_to_json(self):
+        g, p = planted_aep(PlantedAepConfig(cell_sizes=(3, 4),
+                                            quotient_weights=((0.0, 2.0), (1.5, 0.0)), seed=1))
+        system = OscillatorSystem(graph=g, omega=np.linspace(-0.2, 0.2, g.n), sigma=1.0)
+        basis = spectral_basis(g)
+        ctraj = integrate_coefficient(system, basis, np.linspace(0.5, 1.0, g.n), 0.01, 500)
+        regimes = segment_regimes(ctraj, 0.1, min_dwell=0.1)
+        assert any(r.active for r in regimes)
+        mode = equitable_error(g, p).per_mode[1]
+        records = [*regimes, *discriminant_report(system, basis),
+                   approximation_bound(g, p, basis, (mode.eigenvalue, mode.vector), 0.5),
+                   run_scenario("phase_lag_ex2")]
+        for record in records:
+            json.dumps(dataclasses.asdict(record))
 
 
 class TestSmallRuns:
@@ -449,3 +473,29 @@ class TestPhaseLagEx2Graph:
                  for b in range(a + 1, c)]
         edges += [(a, a + c, w) for a in range(c)]
         assert built == [WeightedGraph(2 * c, edges)]
+
+
+def reference_sbm_concentration(g, p, probabilities):
+    """Oracle: the per-cell loop, max |E_iq| / (p_pq |C_q|) over the
+    vertices i outside cell q."""
+    err = equitable_error_matrix(g, p)
+    pr = np.asarray(probabilities)
+    stat = 0.0
+    for q in range(p.k):
+        mask = p.assignment != q
+        denom = pr[p.assignment[mask], q] * p.sizes()[q]
+        stat = max(stat, float((np.abs(err[mask, q]) / denom).max()))
+    return stat
+
+
+class TestSbmConcentration:
+    @pytest.mark.parametrize("sizes, probabilities", [
+        ((10, 30), ((0.6, 0.2), (0.2, 0.5))),
+        ((5, 12, 8), ((0.7, 0.3, 0.2), (0.3, 0.4, 0.1), (0.2, 0.1, 0.9))),
+    ])
+    def test_matches_per_cell_loop(self, sizes, probabilities):
+        for seed in range(5):
+            g, p = sample_sbm(SbmConfig(block_sizes=sizes, probabilities=probabilities,
+                                        seed=seed))
+            assert (experiments._sbm_concentration(g, p, probabilities)
+                    == reference_sbm_concentration(g, p, probabilities))

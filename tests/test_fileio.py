@@ -144,7 +144,7 @@ class TestWriteTable:
 
 class TestVectorSpec:
     def test_inline_json(self):
-        assert np.array_equal(fileio.load_vector("[1, 2.5, -3]"), [1.0, 2.5, -3.0])
+        assert np.array_equal(fileio.load_vector("[1, 2.5, -3]", 3), [1.0, 2.5, -3.0])
 
     def test_file_path(self, tmp_path):
         path = tmp_path / "omega.json"

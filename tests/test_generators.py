@@ -258,10 +258,11 @@ class TestNestedAep:
         assert basis.eigenvalues[[1, 2]].max() < basis.eigenvalues[[3, 4, 5]].min()
 
     @pytest.mark.parametrize("seed", [4, 9, 37])
-    def test_zero_eigenvalue_roundoff_does_not_reject(self, seed):
+    def test_zero_eigenvalue_roundoff_does_not_reject(self, seed, monkeypatch):
         # eigh returns the zero eigenvalue as a tiny negative number for these
         # seeds; the ordering check must accept them on the first attempt.
-        g, parts = nested_aep(**FIG4_WEIGHTS, jitter=0.05, seed=seed, max_retries=1)
+        monkeypatch.setattr(generators, "_NESTED_ATTEMPTS", 1)
+        g, parts = nested_aep(**FIG4_WEIGHTS, jitter=0.05, seed=seed)
         basis = spectral_basis(g)
         assert sorted(structural_indices(basis, parts[0])) == [0, 1, 2]
         assert sorted(structural_indices(basis, parts[1])) == [0, 1, 2, 3, 4, 5]
@@ -283,8 +284,9 @@ class TestNestedAep:
         g2, _ = nested_aep(**FIG4_WEIGHTS, seed=5)
         assert g1 == g2
 
-    def test_unorderable_weights_raise(self):
+    def test_unorderable_weights_raise(self, monkeypatch):
         # Leaf weights far below the cross weights invert the spectrum.
+        monkeypatch.setattr(generators, "_NESTED_ATTEMPTS", 2)
         with pytest.raises(RuntimeError, match="ordering"):
             nested_aep(
                 levels=(2,),
@@ -292,7 +294,6 @@ class TestNestedAep:
                 level_weights=(5.0,),
                 leaf_weight_range=(0.001, 0.002),
                 seed=2,
-                max_retries=2,
             )
 
 
@@ -340,10 +341,10 @@ class TestPerturb:
             perturb(g, p, eta, seed=0)
 
 
-def reference_sbm(config):
+def reference_sbm(config, draws):
     """Oracle: the triu_indices sampler, one uniform per pair i < j in
-    row-major order and scipy's component count; None when every draw is
-    disconnected."""
+    row-major order and scipy's component count; None when each of the
+    `draws` samples is disconnected."""
     pytest.importorskip("scipy")
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
@@ -354,7 +355,7 @@ def reference_sbm(config):
     assignment = np.repeat(np.arange(sizes.size), sizes)
     iu, ju = np.triu_indices(n, k=1)
     probs = np.asarray(config.probabilities)[assignment[iu], assignment[ju]]
-    for _ in range(config.max_retries):
+    for _ in range(draws):
         mask = rng.random(probs.size) < probs
         adj = coo_matrix((np.ones(int(mask.sum())), (iu[mask], ju[mask])), shape=(n, n))
         if connected_components(adj, directed=False)[0] == 1:
@@ -374,11 +375,11 @@ class TestSampleSbm:
             ((6, 6), ((0.2, 0.0), (0.0, 0.2))),
         ],
     )
-    def test_matches_triu_indices_reference(self, sizes, probabilities):
+    def test_matches_triu_indices_reference(self, sizes, probabilities, monkeypatch):
+        monkeypatch.setattr(generators, "_SBM_DRAWS", 5)
         for seed in range(6):
-            cfg = SbmConfig(block_sizes=sizes, probabilities=probabilities,
-                            seed=seed, max_retries=5)
-            expected = reference_sbm(cfg)
+            cfg = SbmConfig(block_sizes=sizes, probabilities=probabilities, seed=seed)
+            expected = reference_sbm(cfg, draws=5)
             if expected is None:
                 with pytest.raises(RuntimeError, match="connected"):
                     sample_sbm(cfg)
@@ -396,12 +397,12 @@ class TestSampleSbm:
         assert np.all(g.edge_w == 1.0)
         assert check_aep(g, p).max_deviation < 1e-12
 
-    def test_disconnected_blocks_error(self):
+    def test_disconnected_blocks_error(self, monkeypatch):
+        monkeypatch.setattr(generators, "_SBM_DRAWS", 5)
         cfg = SbmConfig(
             block_sizes=(4, 4),
             probabilities=((1.0, 0.0), (0.0, 1.0)),
             seed=0,
-            max_retries=5,
         )
         with pytest.raises(RuntimeError, match="connected"):
             sample_sbm(cfg)
