@@ -37,7 +37,7 @@ from .equitable import approximation_bound, check_aep, equitable_error, qep_scor
 from .experiments import available_scenarios, run_scenario, scenario_config
 from .generators import PlantedAepConfig, SbmConfig, nested_aep, perturb, planted_aep, sample_sbm
 from .graph import laplacian
-from .spectral import decompose, eigendecompose, spectral_basis
+from .spectral import eigendecompose, spectral_basis
 
 
 def _load(load, path, what: str):
@@ -162,9 +162,8 @@ def _cmd_simulate(args) -> None:
     if args.basis == "vertex":
         traj = integrate_vertex(system, theta0, args.dt, args.steps)
     else:
-        ctraj = integrate_coefficient(
-            system, basis, decompose(theta0, basis), args.dt, args.steps
-        )
+        alpha0 = basis.vertex_vectors.T @ theta0
+        ctraj = integrate_coefficient(system, basis, alpha0, args.dt, args.steps)
         traj = reconstruct_trajectory(ctraj)
     if at is not None:
         traj = rezero(traj, at)

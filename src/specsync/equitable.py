@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import WeightedGraph, VertexPartition, _cell_means, degrees
-from .spectral import SpectralBasis, eigendecompose_general
+from .spectral import SpectralBasis, eigendecompose
 
 __all__ = [
     "AepReport",
@@ -149,7 +149,13 @@ def equitable_error(g: WeightedGraph, partition: VertexPartition) -> EquitableEr
     err, quotient = _error_and_quotient(g, partition)
     sigma1 = _sigma1(err)
     max_row_sum = float(np.abs(err).sum(axis=1).max(initial=0.0))
-    q_eigenvalues, q_vectors = eigendecompose_general(quotient)
+    # L^pi = N^{-1} P^T L P is similar to the symmetric N^{1/2} L^pi N^{-1/2},
+    # whose eigenvectors u stay real on a repeated eigenvalue; v = N^{-1/2} u.
+    root = np.sqrt(partition.sizes())
+    sym = root[:, None] * quotient / root
+    q_basis = eigendecompose(0.5 * (sym + sym.T))
+    q_eigenvalues, q_vectors = q_basis.eigenvalues, q_basis.vertex_vectors / root[:, None]
+    q_vectors /= np.linalg.norm(q_vectors, axis=0)
     per_mode = []
     for r in range(partition.k):
         v = q_vectors[:, r]

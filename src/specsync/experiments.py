@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import WeightedGraph, VertexPartition, indicator_matrix, laplacian, quotient_matrix
-from .spectral import _degenerate_blocks, decompose, eigendecompose, spectral_basis, structural_indices
+from .spectral import _degenerate_blocks, eigendecompose, spectral_basis, structural_indices
 from .equitable import approximation_bound, equitable_error, equitable_error_matrix, qep_score
 from .dynamics import (
     OscillatorSystem,
@@ -200,9 +200,8 @@ def _scn_basis_equivalence(config, seed):
         theta0 = rng.uniform(-0.5, 0.5, n)
         steps = int(round(config["t_final"] / config["dt"]))
         traj = integrate_vertex(sys_, theta0, config["dt"], steps)
-        ctraj = integrate_coefficient(
-            sys_, basis, decompose(theta0, basis), config["dt"], steps
-        )
+        alpha0 = basis.vertex_vectors.T @ theta0
+        ctraj = integrate_coefficient(sys_, basis, alpha0, config["dt"], steps)
         diff = float(np.abs(reconstruct_trajectory(ctraj).states - traj.states).max())
         worst = max(worst, diff)
         rows.append((idx, n, g.m, diff))
@@ -226,9 +225,8 @@ def _scn_fig2(config, seed):
     pred = asymptotic_coefficients(sys_, basis)
     rng = np.random.default_rng(seed + 1)
     theta0 = rng.uniform(-config["theta0_scale"], config["theta0_scale"], g.n)
-    ctraj = integrate_coefficient(
-        sys_, basis, decompose(theta0, basis), config["dt"], config["steps"]
-    )
+    alpha0 = basis.vertex_vectors.T @ theta0
+    ctraj = integrate_coefficient(sys_, basis, alpha0, config["dt"], config["steps"])
     terminal = ctraj.coeffs[-1]
     energy = float((terminal[nonstruct] ** 2).sum() / (terminal[1:] ** 2).sum())
     traj = reconstruct_trajectory(ctraj)
@@ -433,9 +431,8 @@ def _scn_fig5(config, seed):
             sys_ = OscillatorSystem(graph=g, omega=omega, sigma=config["sigma"])
             rng = np.random.default_rng(seed + 500 + s)
             theta0 = rng.uniform(-config["theta0_scale"], config["theta0_scale"], g.n)
-            ctraj = integrate_coefficient(
-                sys_, basis, decompose(theta0, basis), config["dt"], config["steps"]
-            )
+            alpha0 = basis.vertex_vectors.T @ theta0
+            ctraj = integrate_coefficient(sys_, basis, alpha0, config["dt"], config["steps"])
             spread = float(cluster_spread(reconstruct_trajectory(ctraj), p, -1).max())
             score = qep_score(g, p)
             scores.append(score)
@@ -650,9 +647,8 @@ def _scn_phase_lag_ex2(config, seed):
     sys_ = OscillatorSystem(graph=g, omega=omega, sigma=sigma, beta=beta)
     pred = asymptotic_coefficients(sys_, basis)
     # Uniform weight closed form: (omega^(r) - w beta^(r)) / (lambda_r sigma)
-    omega_spec = basis.vertex_vectors.T @ omega
     beta_spec = basis.edge_vectors.T @ beta
-    closed = (omega_spec[1:] - w * beta_spec[1:]) / (basis.eigenvalues[1:] * sigma)
+    closed = (pred.omega_spec[1:] - w * beta_spec[1:]) / (basis.eigenvalues[1:] * sigma)
     formula_dev = float(np.abs(pred.alpha_inf[1:] - closed).max())
     ctraj = integrate_coefficient(sys_, basis, np.zeros(g.n), config["dt"], config["steps"])
     terminal = ctraj.coeffs[-1][1:]

@@ -2,8 +2,7 @@
 
 Symmetric eigendecomposition with a deterministic sign convention, the
 paired down-edge eigenvectors e^(r) = B^T v^(r) (on edge (i, j) simply
-v_i^(r) - v_j^(r)), transforms between vertex signals and spectral
-coefficients, a dense general eigensolver for (small, nonsymmetric)
+v_i^(r) - v_j^(r)), a dense general eigensolver for (small, nonsymmetric)
 quotient Laplacians, and detection of the partition-constant "structural"
 modes that carry cluster-synchronized dynamics.
 """
@@ -20,7 +19,6 @@ __all__ = [
     "eigendecompose",
     "eigendecompose_general",
     "spectral_basis",
-    "decompose",
     "structural_indices",
 ]
 
@@ -97,12 +95,14 @@ def eigendecompose(lap: np.ndarray) -> SpectralBasis:
 def spectral_basis(g: WeightedGraph) -> SpectralBasis:
     """Full spectral basis of a graph: Laplacian eigenpairs plus edge vectors.
 
-    B^T V is gathered by edge, V[edge_i] - V[edge_j], without forming the
-    n x m incidence B; each entry is the same single subtraction.
+    B^T V is gathered by edge, V[edge_i] minus V[edge_j] in place, without
+    forming the n x m incidence B; each entry is the same single subtraction.
     """
     basis = eigendecompose(laplacian(g))
     v = basis.vertex_vectors
-    return SpectralBasis(basis.eigenvalues, v, v[g.edge_i] - v[g.edge_j])
+    e = v[g.edge_i]
+    e -= v[g.edge_j]
+    return SpectralBasis(basis.eigenvalues, v, e)
 
 
 def eigendecompose_general(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,17 +137,6 @@ def eigendecompose_general(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(resid > _GENERAL_TOL * scale):
         raise ValueError("eigenpair residual exceeds tolerance")
     return eigenvalues, vectors
-
-
-def decompose(theta: np.ndarray, basis: SpectralBasis) -> np.ndarray:
-    """Project a vertex signal onto the eigenbasis: alpha_r = v^(r) . theta.
-
-    The inverse is V alpha (basis.vertex_vectors @ alpha).
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (basis.n,):
-        raise ValueError(f"signal length {theta.shape} does not match basis size {basis.n}")
-    return basis.vertex_vectors.T @ theta
 
 
 def _degenerate_blocks(lam: np.ndarray, gap: float) -> list[np.ndarray]:

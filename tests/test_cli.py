@@ -177,7 +177,7 @@ class TestSimulate:
         if basis == "vertex":
             traj = specsync.integrate_vertex(system, theta0, 0.01, 200)
         else:
-            alpha0 = specsync.decompose(theta0, spec)
+            alpha0 = spec.vertex_vectors.T @ theta0
             traj = specsync.reconstruct_trajectory(
                 specsync.integrate_coefficient(system, spec, alpha0, 0.01, 200))
         traj = specsync.rezero(traj, 100)

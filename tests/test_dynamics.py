@@ -9,7 +9,6 @@ from specsync import (
     BlowUpError,
     SpectralBasis,
     spectral_basis,
-    decompose,
     integrate_vertex,
     integrate_coefficient,
     decompose_trajectory,
@@ -504,7 +503,7 @@ class TestCoefficientIntegration:
     def test_blow_up_reports_step(self):
         sys_ = two_oscillator_system(omega=(1e308, -1e308), sigma=0.1)
         basis = spectral_basis(sys_.graph)
-        alpha0 = decompose(np.array([0.3, -0.3]), basis)
+        alpha0 = basis.vertex_vectors.T @ np.array([0.3, -0.3])
         with pytest.raises(BlowUpError, match=r"step 1 \(t = 1\), batch row 0") as info:
             integrate_coefficient(sys_, basis, alpha0, dt=1.0, steps=10)
         assert (info.value.step, info.value.row, info.value.time) == (1, 0, 1.0)
@@ -521,7 +520,7 @@ class TestCoefficientIntegration:
             theta0 = rng.uniform(-0.5, 0.5, size=g.n)
             traj = integrate_vertex(sys_, theta0, dt=0.01, steps=2000)
             ctraj = integrate_coefficient(
-                sys_, basis, decompose(theta0, basis), dt=0.01, steps=2000
+                sys_, basis, basis.vertex_vectors.T @ theta0, dt=0.01, steps=2000
             )
             rebuilt = reconstruct_trajectory(ctraj)
             assert np.abs(rebuilt.states - traj.states).max() < 1e-6
@@ -542,7 +541,7 @@ class TestCoefficientIntegration:
         theta0 = rng.uniform(-0.5, 0.5, g.n)
         traj = integrate_vertex(sys_, theta0, 0.01, 5000)
         ctraj = integrate_coefficient(
-            sys_, basis, decompose(theta0, basis), 0.01, 5000
+            sys_, basis, basis.vertex_vectors.T @ theta0, 0.01, 5000
         )
         assert np.abs(reconstruct_trajectory(ctraj).states - traj.states).max() < 1e-6
 
@@ -634,10 +633,10 @@ class TestRezero:
         theta = np.where(p.assignment == 0, 0.4, -0.4)
         theta[5] += 2.0 * np.pi
         traj = Trajectory_like(theta[None, :])
-        before = decompose(traj.states[0], basis)
+        before = basis.vertex_vectors.T @ traj.states[0]
         assert np.abs(before[nonstruct]).max() > 0.1
         after = rezero(traj, 0)
-        alpha = decompose(after.states[0], basis)
+        alpha = basis.vertex_vectors.T @ after.states[0]
         assert np.abs(alpha[nonstruct]).max() < 1e-10
 
     def test_suffix_grid(self):

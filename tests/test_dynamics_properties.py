@@ -11,7 +11,6 @@ from specsync import (
     OscillatorSystem,
     PlantedAepConfig,
     WeightedGraph,
-    decompose,
     integrate_coefficient,
     integrate_vertex,
     planted_aep,
@@ -28,7 +27,7 @@ def both_forms(system, theta0):
     """Vertex states of both forms; the coefficient form is compared after
     reconstruction, because a degenerate eigenvector block may rotate."""
     basis = spectral_basis(system.graph)
-    coeffs = integrate_coefficient(system, basis, decompose(theta0, basis), DT, STEPS)
+    coeffs = integrate_coefficient(system, basis, basis.vertex_vectors.T @ theta0, DT, STEPS)
     return (integrate_vertex(system, theta0, DT, STEPS).states,
             reconstruct_trajectory(coeffs).states)
 

@@ -258,6 +258,26 @@ class TestEquitableError:
             beta = basis.vertex_vectors.T @ eps
             assert abs(np.linalg.norm(beta) - np.linalg.norm(eps)) < 1e-12
 
+    @pytest.mark.parametrize("w, seed", [(2.5, 3), (0.37, 4)])
+    def test_repeated_quotient_eigenvalue(self, w, seed):
+        # A uniform cross-cell weight w per vertex pair gives L^pi = w (n I - 1 s^T),
+        # s the cell sizes: eigenvalue w n three times, an eigenspace that a
+        # general solver returned as complex vectors.
+        sizes = np.array([6, 9, 12, 3])
+        weights = w * np.where(np.eye(4, dtype=bool), 0.0, sizes)
+        g, p = planted_aep(PlantedAepConfig(cell_sizes=tuple(sizes.tolist()),
+                                            quotient_weights=tuple(map(tuple, weights)),
+                                            intra_density=0.5, seed=seed))
+        modes = equitable_error(g, p).per_mode
+        vals = np.array([m.eigenvalue for m in modes])
+        vecs = np.column_stack([m.vector for m in modes])
+        scale = w * g.n
+        assert np.abs(vals - [0.0, scale, scale, scale]).max() <= 1e-12 * scale
+        quotient = quotient_matrix(laplacian(g), p)
+        assert np.abs(quotient @ vecs - vecs * vals).max() <= 1e-12 * scale
+        gram = vecs[p.assignment].T @ vecs[p.assignment]  # lifted P v, mutually orthogonal
+        assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-12 * np.diag(gram).max()
+
 
 class TestApproximationBound:
     def _planted_instance(self, seed, eta=0.0):

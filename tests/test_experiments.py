@@ -12,7 +12,6 @@ from specsync import (
     WeightedGraph,
     approximation_bound,
     available_scenarios,
-    decompose,
     discriminant_report,
     equitable_error,
     equitable_error_matrix,
@@ -442,7 +441,7 @@ class TestNegativeControls:
         vertex = integrate_vertex(sys_, theta0, dt, steps).states
 
         def gap(basis):
-            ctraj = integrate_coefficient(sys_, basis, decompose(theta0, basis), dt, steps)
+            ctraj = integrate_coefficient(sys_, basis, basis.vertex_vectors.T @ theta0, dt, steps)
             return float(np.abs(reconstruct_trajectory(ctraj).states - vertex).max())
 
         assert gap(spectral_basis(g)) <= config["tol"]

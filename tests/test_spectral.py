@@ -11,8 +11,9 @@ from specsync import (
     eigendecompose,
     eigendecompose_general,
     spectral_basis,
-    decompose,
     structural_indices,
+    Trajectory,
+    decompose_trajectory,
 )
 
 from conftest import (
@@ -152,6 +153,11 @@ class TestEigendecomposeGeneral:
             assert resid.max() <= 1e-8 * max(1.0, np.abs(q).max())
 
 
+def decompose(theta, basis):
+    """Coefficients of one vertex signal, through the trajectory projection."""
+    return decompose_trajectory(Trajectory(0.0, 1.0, np.asarray(theta)[None, :]), basis).coeffs[0]
+
+
 class TestDecompose:
     def test_constant_signal_hits_mode_zero(self):
         rng = np.random.default_rng(14)
@@ -182,7 +188,7 @@ class TestDecompose:
 
     def test_length_mismatch(self):
         g = WeightedGraph(2, [(0, 1, 1.0)])
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match="width"):
             decompose(np.zeros(3), spectral_basis(g))
 
 

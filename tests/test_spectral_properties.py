@@ -1,5 +1,6 @@
 """Property tests on generated instances: the structural indices under
-relabelling, and the equitable-error and truncation bounds."""
+relabelling, the equitable-error and truncation bounds, and the partition
+analysis under relabelling, edge order and weight units."""
 import numpy as np
 import pytest
 
@@ -12,9 +13,12 @@ from specsync import (
     VertexPartition,
     WeightedGraph,
     approximation_bound,
+    check_aep,
+    degrees,
     equitable_error,
     perturb,
     planted_aep,
+    qep_score,
     sample_sbm,
     spectral_basis,
     structural_indices,
@@ -84,3 +88,36 @@ def test_error_and_truncation_bounds_hold(instance, gamma_frac):
         assert m.bound_sigma <= schur * np.linalg.norm(m.vector) * (1 + 1e-12) + 1e-15
         ab = approximation_bound(g, p, basis, (m.eigenvalue, m.vector), gamma)
         assert ab.actual_error <= ab.bound * (1 + 1e-10) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), st.data(), st.floats(-9.0, 6.0), st.floats(1e-3, 1.0))
+def test_partition_analysis_invariant_under_labels_edge_order_and_units(
+        instance, data, log_c, gamma_frac):
+    # Relabelled vertices, shuffled edges and weights times c: qep_score and
+    # the AEP verdict stay, sigma_1(E) and the quotient eigenvalues scale by c,
+    # and the truncation pairs (actual, bound) stay with gamma scaled by c.
+    g, p = instance
+    c = 10.0 ** log_c
+    perm = np.array(data.draw(st.permutations(range(g.n))))
+    order = np.array(data.draw(st.permutations(range(g.m))))
+    moved_g = WeightedGraph(g.n, np.column_stack(
+        [perm[g.edge_i[order]], perm[g.edge_j[order]], c * g.edge_w[order]]))
+    assignment = np.empty(g.n, dtype=np.int64)
+    assignment[perm] = p.assignment
+    moved_p = VertexPartition(assignment, p.k)
+    scale = float(degrees(g).max())
+
+    assert abs(qep_score(moved_g, moved_p) - qep_score(g, p)) <= 1e-9 * (1 + qep_score(g, p))
+    assert check_aep(moved_g, moved_p).is_aep == check_aep(g, p).is_aep
+    report, moved = equitable_error(g, p), equitable_error(moved_g, moved_p)
+    assert abs(moved.sigma1 / c - report.sigma1) <= 1e-9 * scale
+    basis, moved_basis = spectral_basis(g), spectral_basis(moved_g)
+    gamma = gamma_frac * basis.eigenvalues[-1]
+    for m, mm in zip(report.per_mode, moved.per_mode):
+        assert abs(mm.eigenvalue / c - m.eigenvalue) <= 1e-9 * scale
+        ab = approximation_bound(g, p, basis, (m.eigenvalue, m.vector), gamma)
+        mab = approximation_bound(moved_g, moved_p, moved_basis, (mm.eigenvalue, mm.vector),
+                                  gamma_frac * moved_basis.eigenvalues[-1])
+        assert np.allclose([mab.actual_error, mab.bound], [ab.actual_error, ab.bound],
+                           rtol=1e-6, atol=1e-8)
