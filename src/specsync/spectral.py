@@ -23,11 +23,11 @@ __all__ = [
 ]
 
 
-# Absolute thresholds; none is settable by callers.
+# Thresholds; none is settable by callers.
 _SIGN_TOL = 1e-12  # entries below this (times max(1, column max)) count as zero
 _GENERAL_TOL = 1e-8  # imaginary parts and eigenpair residuals, times the matrix scale
-_STRUCTURAL_TOL = 1e-8  # largest residual of a cell-constant direction
-_GAP_TOL = 1e-8  # eigenvalues closer than this form one degenerate block
+_STRUCTURAL_TOL = 1e-8  # largest residual of a cell-constant unit direction
+_GAP_TOL = 1e-8  # eigenvalues closer than this times lambda_max form one degenerate block
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -139,8 +139,10 @@ def eigendecompose_general(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, vectors
 
 
-def _degenerate_blocks(lam: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Index runs of ascending eigenvalues whose neighbours lie closer than gap."""
+def _degenerate_blocks(lam: np.ndarray, rel_gap: float) -> list[np.ndarray]:
+    """Index runs of ascending eigenvalues whose neighbours lie closer than
+    rel_gap times the largest |eigenvalue|, so weight units do not matter."""
+    gap = rel_gap * np.abs(lam).max(initial=0.0)
     return np.split(np.arange(lam.size), np.flatnonzero(np.diff(lam) >= gap) + 1)
 
 
@@ -151,12 +153,14 @@ def structural_indices(basis: SpectralBasis, partition: VertexPartition) -> list
     the partition indicator P. All modes are read off one residual
     R = V - P N^{-1} P^T V, the part of each eigenvector that leaves col(P).
     A lone mode r is structural when max_i |R_ir| <= 1e-8. Eigenvalues
-    closer than 1e-8 form one degenerate block, whose individual
+    closer than 1e-8 lambda_max form one degenerate block, whose individual
     representatives are arbitrary: the number of structural directions in
     the block is the number of singular values of R[:, block] at most 1e-8,
     and the lowest indices of the block stand in for those directions. Both
-    thresholds are absolute. Mode 0 is always structural on a connected
-    graph, and an exact almost equitable partition gives exactly k indices.
+    thresholds are free of units: the eigenvectors have unit length, and
+    the gap scales with the weights, so w -> c w leaves the indices alone.
+    Mode 0 is always structural on a connected graph, and an exact almost
+    equitable partition gives exactly k indices.
     """
     if partition.n != basis.n:
         raise ValueError("partition does not match basis size")

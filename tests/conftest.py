@@ -111,18 +111,20 @@ def oracle_structural_indices(basis, partition, tol=1e-8, gap_tol=1e-8):
     """Structural mode indices, one mode and one cell at a time.
 
     Lone modes are cell-constant within tol (max over cells of
-    |v_c - mean(v_c)|); a block of eigenvalues closer than gap_tol keeps as
-    many of its lowest indices as its eigenspace has singular values of
-    (I - Q Q^T) U at most tol, Q the orthonormal indicator basis. Test-only
+    |v_c - mean(v_c)|); a block of eigenvalues closer than gap_tol times the
+    largest |eigenvalue| keeps as many of its lowest indices as its
+    eigenspace has singular values of (I - Q Q^T) U at most tol, Q the
+    orthonormal indicator basis. Test-only
     reference for the one-residual form of structural_indices.
     """
     lam = basis.eigenvalues
     vecs = basis.vertex_vectors
     cells = partition.cells()
     q = indicator_matrix(partition) / np.sqrt(partition.sizes())[None, :]
+    gap = gap_tol * max(abs(lam[0]), abs(lam[-1]))
     blocks = [[0]]
     for r in range(1, basis.n):
-        if lam[r] - lam[r - 1] < gap_tol:
+        if lam[r] - lam[r - 1] < gap:
             blocks[-1].append(r)
         else:
             blocks.append([r])

@@ -1,6 +1,7 @@
 """Property tests of both integrators: weight units and vertex labels do not
 change the vertex trajectory beyond roundoff, and on an exact AEP the
-cell-constant dynamics are the quotient system's."""
+cell-constant dynamics are the quotient system's, with or without a lag
+per pair of cells."""
 import numpy as np
 import pytest
 
@@ -17,6 +18,8 @@ from specsync import (
     reconstruct_trajectory,
     spectral_basis,
 )
+
+from specsync.dynamics import _edge_coupling
 
 from conftest import relabelled_systems
 
@@ -68,15 +71,19 @@ def test_relabelling_permutes_trajectories(pair, seed):
 
 @st.composite
 def planted_quotients(draw):
-    """A planted AEP config with 2-3 cells of distinct sizes and its quotient
-    d, d[a, b] the weight each vertex of cell a sends into cell b. With
-    unequal cells d is not symmetric."""
+    """A planted AEP config with 2-3 cells of distinct sizes, its quotient
+    d, d[a, b] the weight each vertex of cell a sends into cell b, and an
+    antisymmetric lag per ordered pair of cells. With unequal cells d is
+    not symmetric."""
     sizes = draw(st.lists(st.integers(1, 7), min_size=2, max_size=3, unique=True))
     k = len(sizes)
     between = np.zeros((k, k))  # |V_a| d_ab, the total weight between cells a and b
+    lag = np.zeros((k, k))
     for a in range(k):
         for b in range(a + 1, k):
             between[a, b] = between[b, a] = draw(st.floats(0.2, 2.0))
+            lag[a, b] = draw(st.floats(-1.0, 1.0))
+            lag[b, a] = -lag[a, b]
     d = between / np.array(sizes, dtype=float)[:, None]
     config = PlantedAepConfig(
         cell_sizes=tuple(sizes),
@@ -84,14 +91,14 @@ def planted_quotients(draw):
         intra_density=draw(st.floats(0.0, 1.0)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
-    return config, d
+    return config, d, lag
 
 
-def quotient_rk4(d, omega, theta0, sigma):
+def quotient_rk4(d, lag, omega, theta0, sigma):
     """Classical RK4 of the k-oscillator quotient
-    dtheta_a/dt = omega_a - sigma sum_b d_ab sin(theta_a - theta_b)."""
+    dtheta_a/dt = omega_a - sigma sum_b d_ab sin(theta_a - theta_b + lag_ab)."""
     def f(theta):
-        return omega - sigma * (d * np.sin(theta[:, None] - theta[None, :])).sum(axis=1)
+        return omega - sigma * (d * np.sin(theta[:, None] - theta[None, :] + lag)).sum(axis=1)
 
     out = [theta0]
     for _ in range(STEPS):
@@ -104,17 +111,29 @@ def quotient_rk4(d, omega, theta0, sigma):
     return np.array(out)
 
 
+def test_edge_kernel_lag_orientation():
+    # The convention the lagged quotient below rests on: edge (i, j), i < j,
+    # adds sin(theta_i - theta_j + beta) to i's coupling sum and its
+    # negative, sin(theta_j - theta_i - beta), to j's.
+    flow = _edge_coupling(WeightedGraph(2, [(0, 1, 1.0)]), np.array([0.3]), (2,), 1.0)
+    assert np.allclose(flow(np.array([0.5, 0.1]), np.empty(2)), [np.sin(0.7), -np.sin(0.7)])
+
+
 @settings(max_examples=20, deadline=None)
 @given(planted_quotients(), st.floats(0.1, 1.0), st.integers(0, 2**32 - 1))
 def test_cell_constant_dynamics_follow_the_quotient(instance, sigma, seed):
     # Schaub et al., Chaos 2016: on an AEP, cell-constant frequencies and
     # initial phases stay cell-constant, and each cell moves as one
-    # oscillator of the quotient; intra-cell edges carry sin(0) = 0.
-    config, d = instance
+    # oscillator of the quotient; intra-cell edges carry sin(0) = 0. An edge
+    # (i, j), i < j, from cell a to cell b takes the lag lag_ab: by the
+    # kernel's orientation i then sees sin(theta_a - theta_b + lag_ab) and j
+    # sees sin(theta_b - theta_a - lag_ab) = sin(theta_b - theta_a + lag_ba).
+    config, d, lag = instance
     g, p = planted_aep(config)
     rng = np.random.default_rng(seed)
     omega, theta0 = rng.uniform(-1.0, 1.0, d.shape[0]), rng.uniform(-np.pi, np.pi, d.shape[0])
-    system = OscillatorSystem(graph=g, omega=omega[p.assignment], sigma=sigma)
-    want = quotient_rk4(d, omega, theta0, sigma)[:, p.assignment]
+    beta = lag[p.assignment[g.edge_i], p.assignment[g.edge_j]]
+    system = OscillatorSystem(graph=g, omega=omega[p.assignment], sigma=sigma, beta=beta)
+    want = quotient_rk4(d, lag, omega, theta0, sigma)[:, p.assignment]
     for got in both_forms(system, theta0[p.assignment]):
         assert np.abs(got - want).max() <= 1e-11

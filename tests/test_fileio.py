@@ -1,5 +1,12 @@
 import json
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,8 +90,8 @@ class TestTrajectoryCsv:
 
 
 class TestStreamedTrajectoryCsv:
-    """Trajectory CSVs are written line by line through write_table; every
-    byte must match numpy's own "%.17g" rendering of the same table."""
+    """Trajectory CSVs are written block by block through _format_cells;
+    every byte must match numpy's own "%.17g" rendering of the same table."""
 
     SPECIALS = [-0.0, 5e-324, 1e300, float("nan"), float("inf")]
 
@@ -117,6 +124,102 @@ class TestStreamedTrajectoryCsv:
             tracemalloc.stop()
         assert path.stat().st_size > 9e6
         assert peak < 8e6
+
+
+def kernel_lines(values) -> list[str]:
+    """Each value through _format_cells as a one-column block, in blocks of
+    the size the trajectory writer uses."""
+    values = np.asarray(values, dtype=float).ravel()
+    step = fileio._BLOCK_CELLS
+    text = "".join(fileio._format_cells(values[i:i + step, None])
+                   for i in range(0, values.size, step))
+    return text.split("\n")[:-1]
+
+
+def percent_lines(values) -> list[str]:
+    return ["%.17g" % v for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+class TestFormatKernel:
+    """_format_cells must make byte for byte the text of '%.17g' % v."""
+
+    SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                float("nan"), float("inf"), float("-inf"), 1e-270, 1e270]
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(73).integers(0, 2**64, size=10**6, dtype=np.uint64)
+        values = np.concatenate([bits.view(np.float64), self.SPECIALS])
+        # subnormals, NaN and both infinities are among the random patterns too
+        assert np.isnan(values).sum() > 100 and (np.abs(values) < 2.2250738585072014e-308).sum() > 100
+        assert kernel_lines(values) == percent_lines(values)
+
+    def test_neighbours_of_powers_of_ten(self):
+        values = []
+        for k in range(-330, 309):
+            for direction in (0.0, math.inf):
+                x = float(f"1e{k}")
+                for _ in range(4):
+                    values += [x, -x]
+                    x = math.nextafter(x, direction)
+        assert kernel_lines(values) == percent_lines(values)
+
+    def test_exact_ties(self):
+        # m / 2^(17 - k) with m odd and the value in [10^k, 10^(k+1)) has
+        # exactly 18 significant digits, the last a 5: an exact tie at 17,
+        # which '%' rounds half to even.
+        rng = np.random.default_rng(74)
+        values = []
+        for k in range(-8, 15):
+            j = 17 - k
+            low = math.ceil(Fraction(10) ** k * 2**j)
+            high = math.ceil(Fraction(10) ** (k + 1) * 2**j)
+            m = rng.integers(low, high, size=300) | 1
+            values += [int(v) / 2**j for v in m if v < high]
+        for v in values:
+            digits = Decimal(v).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        values += [1 + 2.0**-17, -(1 + 2.0**-17)]
+        assert kernel_lines(values) == percent_lines(values)
+
+    def test_decade_edges(self):
+        values = [float(10**16 + i) for i in range(-64, 65)]
+        values += [float(10**17 + i) for i in range(-1024, 1025, 8)]
+        # doubles just below a power of ten that '%' rounds up to it
+        up = [x for x in (float(f"1e{k}") for k in range(-300, 301))
+              if 0 < Fraction(10) ** round(math.log10(x)) - Fraction(x)
+              < Fraction(10) ** (round(math.log10(x)) - 17) / 2]
+        assert any(1e-270 <= x <= 1e270 for x in up)
+        values += up + [-x for x in values]
+        assert kernel_lines(values) == percent_lines(values)
+
+    def test_floats_property(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.integers(1, 6).flatmap(
+            lambda cols: st.lists(st.floats(), min_size=cols, max_size=8 * cols)
+            .map(lambda v: np.array(v[:len(v) // cols * cols]).reshape(-1, cols))))
+        def check(block):
+            want = "".join(",".join("%.17g" % v for v in row) + "\n" for row in block.tolist())
+            assert fileio._format_cells(block) == want
+
+        check()
+
+    def test_power_table_is_exact(self):
+        powers = fileio._format_tables()[0]
+        for k, (hi, hi_h, hi_l, lo) in zip(range(-fileio._K_MAX, fileio._K_MAX + 1), powers.tolist()):
+            exact = Fraction(10) ** (16 - k)
+            assert abs(exact - Fraction(hi)) <= Fraction(math.ulp(hi)) / 2
+            assert abs(exact - Fraction(hi) - Fraction(lo)) <= Fraction(math.ulp(lo)) / 2
+            assert hi_h + hi_l == hi
+
+    def test_tables_are_built_on_first_use(self):
+        code = "import specsync.fileio as f; print(f._format_tables.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(Path(fileio.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "0"
 
 
 class TestWriteTable:

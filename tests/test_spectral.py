@@ -247,6 +247,23 @@ class TestStructuralIndices:
         basis = spectral_basis(g)
         assert len(structural_indices(basis, p)) == p.k
 
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6, 1e-9, 1e-12])
+    def test_indices_do_not_depend_on_weight_units(self, scale):
+        # fig2's planted graph at intra density 0.3: an absolute 1e-8 gap
+        # merged the whole spectrum into one block at weights x1e-9 and
+        # x1e-12, and its lowest indices [0, 1, 2] stood in.
+        from specsync import planted_aep, PlantedAepConfig
+
+        g, p = planted_aep(PlantedAepConfig(
+            cell_sizes=(5, 5, 5),
+            quotient_weights=((0.0, 0.7, 0.3), (0.7, 0.0, 0.5), (0.3, 0.5, 0.0)),
+            intra_density=0.3,
+            intra_weight_range=(1.2, 1.6),
+            seed=0,
+        ))
+        scaled = WeightedGraph(g.n, np.column_stack([g.edge_i, g.edge_j, scale * g.edge_w]))
+        assert structural_indices(spectral_basis(scaled), p) == [0, 6, 8]
+
 
 def _degenerate_instances(n):
     """Cycle, complete and star graphs on n vertices, whose spectra hold

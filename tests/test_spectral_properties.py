@@ -28,11 +28,11 @@ unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
 @st.composite
-def instances(draw, max_eta=0.1, sbm_scale=1):
+def instances(draw, max_eta=0.1, sbm_scale=1, kinds=("planted", "perturbed", "sbm")):
     """A planted AEP, a perturbed one (eta <= max_eta) or an SBM sample with
     blocks of sbm_scale times 2-7 vertices, plus 2; each with its planted
-    partition."""
-    kind = draw(st.sampled_from(["planted", "perturbed", "sbm"]))
+    partition. kinds limits which of the three are drawn."""
+    kind = draw(st.sampled_from(kinds))
     seed = draw(st.integers(0, 10_000))
     sizes = np.array(draw(st.lists(st.integers(2, 7), min_size=2, max_size=4)))
     k = sizes.size
@@ -70,6 +70,14 @@ def test_structural_indices_invariant_under_relabelling(instance, data):
     moved_p = VertexPartition(assignment, p.k)
     expected = structural_indices(spectral_basis(g), p)
     assert structural_indices(spectral_basis(moved_g), moved_p) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(kinds=("planted", "sbm")), st.floats(-12.0, 6.0))
+def test_structural_indices_invariant_under_weight_units(instance, log_c):
+    g, p = instance
+    scaled = WeightedGraph(g.n, np.column_stack([g.edge_i, g.edge_j, 10.0**log_c * g.edge_w]))
+    assert structural_indices(spectral_basis(scaled), p) == structural_indices(spectral_basis(g), p)
 
 
 @settings(max_examples=60, deadline=None)
