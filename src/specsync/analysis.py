@@ -232,7 +232,9 @@ def segment_regimes(
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    active = np.abs(_one_trajectory(sim.coeffs, "segment_regimes")[:, 1:]) > threshold
+    coeffs = _one_trajectory(sim.coeffs, "segment_regimes")[:, 1:]
+    active = coeffs > threshold  # |alpha| > threshold with no float temporary
+    active |= coeffs < -threshold
 
     # Run-length encode the per-sample active sets.
     changes = np.flatnonzero(np.any(active[1:] != active[:-1], axis=1)) + 1

@@ -69,14 +69,18 @@ __all__ = [
 
 class BlowUpError(RuntimeError):
     """Integration produced a non-finite state, first at step (time = step * dt) in
-    batch row row; last_state is that row's last finite state, one step earlier."""
+    batch row row; components are the indices of that state's non-finite entries,
+    and last_state is that row's last finite state, one step earlier."""
 
-    def __init__(self, step: int, row: int, time: float, last_state: np.ndarray):
-        super().__init__(f"non-finite state at step {step} (t = {time:g}), batch row {row}")
+    def __init__(self, step: int, row: int, time: float, last_state: np.ndarray,
+                 components: np.ndarray):
+        super().__init__(f"non-finite state at step {step} (t = {time:g}), batch row {row}, "
+                         f"components {components.tolist()}")
         self.step = step
         self.row = row
         self.time = time
         self.last_state = last_state
+        self.components = components
 
 
 @dataclass(frozen=True)
@@ -158,12 +162,14 @@ class CoefficientTrajectory:
 def _check_finite(out: np.ndarray, dt: float) -> np.ndarray:
     """Return a run's states, or raise BlowUpError at its first non-finite step
     and batch row. A non-finite row stays non-finite under every later step,
-    so one check after the loop finds the step and row a per-step test would."""
-    rows = out.reshape(out.shape[0], -1, out.shape[-1])
-    bad = ~np.isfinite(rows).all(axis=2)
-    if bad.any():
+    so one check after the loop finds the step and row a per-step test would.
+    An array is finite exactly when its min and max are: both pass nan through."""
+    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
+        rows = out.reshape(out.shape[0], -1, out.shape[-1])
+        bad = ~(np.isfinite(rows.min(axis=2)) & np.isfinite(rows.max(axis=2)))
         step, row = (int(i) for i in np.argwhere(bad)[0])
-        raise BlowUpError(step, row, step * float(dt), rows[step - 1, row].copy())
+        raise BlowUpError(step, row, step * float(dt), rows[step - 1, row].copy(),
+                          np.flatnonzero(~np.isfinite(rows[step, row])))
     return out
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -490,6 +492,21 @@ class TestSegmentRegimes:
             min_dwell = float(rng.uniform(0.0, 30.0)) * dt
             assert (segment_regimes(traj, 0.5, min_dwell)
                     == reference_segment_regimes(traj, 0.5, min_dwell)), trial
+
+    def test_peak_memory_is_two_masks(self):
+        # 6001 x 180 smooth decays, 8.6 MB of coefficients; |alpha| as a
+        # float array alone would take 8.6 MB more.
+        times = np.arange(6001) * 0.01
+        coeffs = np.exp(-np.outer(times, np.linspace(0.0, 3.0, 180)))
+        traj = CoefficientTrajectory(t0=0.0, dt=0.01, coeffs=coeffs, basis=None)
+        tracemalloc.start()
+        try:
+            regimes = segment_regimes(traj, 0.02, min_dwell=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(regimes) > 2
+        assert peak < 2 * coeffs[:, 1:].size + 1e6
 
     def test_threshold_is_required_and_positive(self):
         basis = self._basis(3)

@@ -126,6 +126,8 @@ class TestVertexIntegration:
         with pytest.raises(BlowUpError) as info:
             integrate_vertex(sys_, np.linspace(-1.0, 1.0, 40), dt=1.0, steps=400)
         assert (info.value.step, info.value.row, info.value.time) == (33, 0, 33.0)
+        # The ends overflow, and their neighbours take nan from the coupling.
+        assert np.array_equal(info.value.components, [0, 1, 38, 39])
         last = info.value.last_state
         assert last.shape == (40,) and np.isfinite(last).all()
         assert abs(last[-1] - 32 * 5.5e306) <= 1e-12 * last[-1]
@@ -343,12 +345,57 @@ class TestBatchedVertexIntegration:
                              steps=10)
         assert (info.value.step, info.value.row, info.value.time) == (1, 1, 1.0)
         assert np.array_equal(info.value.last_state, [1.79e308, -1.79e308])
+        assert np.array_equal(info.value.components, [0, 1])
 
     def test_cluster_spread_takes_one_trajectory(self):
         sys_ = two_oscillator_system()
         traj = integrate_vertex(sys_, np.zeros((2, 2)), dt=0.1, steps=10)
         with pytest.raises(ValueError, match="one trajectory"):
             cluster_spread(traj, VertexPartition([0, 0]), -1)
+
+
+def reference_first_non_finite(rows):
+    """Oracle: the first (step, row) holding a non-finite entry, from a full mask."""
+    bad = ~np.isfinite(rows).all(axis=2)
+    return tuple(int(i) for i in np.argwhere(bad)[0]) if bad.any() else None
+
+
+class TestCheckFinite:
+    """_check_finite finds the first bad (step, row) from min and max, with no
+    full non-finite mask; it must report what that mask would."""
+
+    @pytest.mark.parametrize("seed, kinds", [(0, (np.nan,)), (1, (np.inf,)), (2, (-np.inf,)),
+                                             (3, (np.nan, np.inf, -np.inf))],
+                             ids=["nan", "inf", "-inf", "mixed"])
+    def test_matches_full_mask(self, seed, kinds):
+        rng = np.random.default_rng(seed)
+        for trial in range(300):
+            steps, batch, n = (int(v) for v in rng.integers(2, 9, size=3))
+            out = rng.normal(size=(steps, batch, n)) * 10.0 ** rng.integers(-300, 300, (steps, batch, n))
+            for _ in range(int(rng.integers(1, 5))):
+                at = (int(rng.integers(1, steps)), int(rng.integers(batch)), int(rng.integers(n)))
+                out[at] = rng.choice(kinds)
+            dt = float(rng.uniform(0.001, 1.0))
+            step, row = reference_first_non_finite(out)
+            with pytest.raises(BlowUpError) as info:
+                dynamics._check_finite(out, dt)
+            err = info.value
+            assert (err.step, err.row, err.time) == (step, row, step * dt), trial
+            assert np.array_equal(err.last_state, out[step - 1, row])
+            expected = np.flatnonzero(~np.isfinite(out[step, row]))
+            assert np.array_equal(err.components, expected)
+            assert str(err).endswith(f"batch row {row}, components {expected.tolist()}")
+
+    def test_unbatched_and_finite(self):
+        rng = np.random.default_rng(97)
+        out = rng.normal(size=(20, 6)) * 1e307
+        assert dynamics._check_finite(out, 0.1) is out
+        out[7, 4] = -np.inf
+        out[9, 1] = np.nan
+        with pytest.raises(BlowUpError, match=r"step 7 \(t = 0\.7\), batch row 0, "
+                                              r"components \[4\]") as info:
+            dynamics._check_finite(out, 0.1)
+        assert np.array_equal(info.value.last_state, out[6])
 
 
 class TestSystemValidation:

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +36,7 @@ from specsync.experiments import Assertion
 
 from conftest import random_connected_graph
 
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_BASIS_EQ = {"systems": 3, "n_min": 5, "n_max": 8, "t_final": 5.0, "dt": 0.01}
 SMALL_SBM = {"sizes": [60, 240], "seeds": 3, "required": 2}
@@ -236,6 +241,67 @@ class TestSmallRuns:
         res = run_scenario("basis_equivalence", config=dict(SMALL_BASIS_EQ, tol=1e-300), seed=0)
         assert not res.passed
         assert any(not a.passed for a in res.assertions)
+
+
+# Runs fig4 with few steps, recording its batch before the projection and
+# each seed's coefficients as segment_regimes receives them, and requires them
+# equal to decompose_trajectory of that seed's states.
+FIG4_PROJECTION_CHECK = """
+import sys
+import numpy as np
+from specsync import Trajectory, decompose_trajectory, experiments, run_scenario
+
+batches, seen = [], []
+integrate, segment = experiments.integrate_vertex, experiments.segment_regimes
+
+def recording_integrate(*args):
+    batch = integrate(*args)
+    batches.append(batch.states.copy())
+    return batch
+
+def recording_segment(ctraj, *args, **kwargs):
+    seen.append((ctraj.coeffs.copy(), ctraj.basis))
+    return segment(ctraj, *args, **kwargs)
+
+experiments.integrate_vertex = recording_integrate
+experiments.segment_regimes = recording_segment
+seeds = int(sys.argv[1])
+run_scenario("fig4_hierarchical", {"seeds": seeds, "required_pass": 1, "steps": 600})
+(states,) = batches
+assert states.shape == (601, seeds, 180) and len(seen) == seeds
+for s, (coeffs, basis) in enumerate(seen):
+    traj = Trajectory(t0=0.0, dt=0.01, states=states[:, s])
+    assert np.array_equal(coeffs, decompose_trajectory(traj, basis).coeffs), s
+"""
+
+
+class TestFig4InPlace:
+    """fig4 projects its batch onto the eigenbasis in place."""
+
+    @pytest.mark.parametrize("seeds", [1, 3])
+    def test_projection_matches_decompose_trajectory(self, seeds):
+        # Bit equality is checked under one BLAS thread, the benchmark's
+        # setting: threaded OpenBLAS splits a product's rows by its shape.
+        # 601 * seeds rows take two blocks at one seed and four at three.
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                 "1"))
+        proc = subprocess.run([sys.executable, "-c", FIG4_PROJECTION_CHECK, str(seeds)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_peak_memory_is_one_trajectory(self):
+        # One seed's (6001, 180) trajectory is 8.6 MB; a second array of
+        # its size, as a copy of coefficients or their absolute values, would
+        # take the peak past 16 MB.
+        tracemalloc.start()
+        try:
+            res = run_scenario("fig4_hierarchical", config={"seeds": 1, "required_pass": 1})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.passed
+        assert peak < 16e6
 
 
 class TestNoVacuousPasses:
