@@ -121,19 +121,22 @@ def discriminant_report(
 ) -> tuple[DiscriminantEntry, ...]:
     """Delta_r = (sigma lambda_r)^2 - 4 sigma omega^(r) x_r for every mode r >= 1.
 
-    Every x_r is read off one overlap product O = E^T (W E^3).
+    With w_s = omega^(s) / (2 sigma lambda_s), w_0 = 0, x_r = sum_a W_a e_ar^3
+    sum_{s != r} w_s e_as, summed over edge row blocks of about 65536 cells: no
+    (m, n) array. The sums left and right of r never hold w_r e_ar, so a dominant
+    mode r cannot cancel itself, and x_r is 0.0 when only mode r is weighted.
     """
     pred = asymptotic_coefficients(system, basis)
-    evec = basis.edge_vectors
-    cubic = evec**3
-    cubic *= system.graph.edge_w[:, None]
-    overlaps = evec.T @ cubic
-    # Zero the s = 0 and s = r terms rather than subtracting them, so x_r is
-    # exactly 0.0 when no other mode exists; lambda_0 is a roundoff zero.
-    np.fill_diagonal(overlaps, 0.0)
+    evec, edge_w = basis.edge_vectors, system.graph.edge_w
     weights = np.zeros(basis.n)
     weights[1:] = pred.omega_spec[1:] / (2.0 * system.sigma * basis.eigenvalues[1:])
-    x = weights @ overlaps
+    x = np.zeros(basis.n)
+    rows = max(1, 65536 // basis.n)
+    for s in range(0, len(evec), rows):
+        e = evec[s:s + rows]
+        we = np.pad(e * weights, ((0, 0), (1, 1)))  # a zero column at each end
+        other = np.cumsum(we, 1)[:, :-2] + np.cumsum(we[:, ::-1], 1)[:, -3::-1]
+        x += (edge_w[s:s + rows, None] * e * e * e * other).sum(0)
     delta = pred.decay_rates**2 - 4.0 * system.sigma * pred.omega_spec * x
     return tuple(
         DiscriminantEntry(

@@ -26,8 +26,9 @@ import numpy as np
 from . import fileio
 from .analysis import asymptotic_coefficients, discriminant_report
 from .dynamics import (
+    CoefficientTrajectory,
     OscillatorSystem,
-    decompose_trajectory,
+    _project_in_place,
     integrate_coefficient,
     integrate_vertex,
     reconstruct_trajectory,
@@ -158,19 +159,21 @@ def _cmd_simulate(args) -> None:
             if not 0 <= at <= args.steps:
                 raise ValueError("--rezero time outside the trajectory")
             at = int(at)
-    basis = spectral_basis(graph)
     if args.basis == "vertex":
+        basis = eigendecompose(laplacian(graph))  # V alone: no edge vectors
         traj = integrate_vertex(system, theta0, args.dt, args.steps)
     else:
+        basis = spectral_basis(graph)
         alpha0 = basis.vertex_vectors.T @ theta0
         ctraj = integrate_coefficient(system, basis, alpha0, args.dt, args.steps)
         traj = reconstruct_trajectory(ctraj)
     if at is not None:
         traj = rezero(traj, at)
-    if args.basis == "vertex" or args.rezero is not None:  # decompose once, after any rezero
-        ctraj = decompose_trajectory(traj, basis)
     out = _out_dir(args)
     fileio.write_phase_csv(traj, out / "trajectory.csv")
+    if args.basis == "vertex" or args.rezero is not None:  # once, after any rezero
+        _project_in_place(traj.states, basis.vertex_vectors)
+        ctraj = CoefficientTrajectory(traj.t0, traj.dt, traj.states, basis)
     fileio.write_coefficient_csv(ctraj, out / "coefficients.csv")
     print(f"wrote trajectory.csv, coefficients.csv to {out}")
 

@@ -384,6 +384,16 @@ def decompose_trajectory(traj: Trajectory, basis: SpectralBasis) -> CoefficientT
     )
 
 
+def _project_in_place(states: np.ndarray, vectors: np.ndarray) -> None:
+    """Overwrite states (..., n) with states @ vectors in row blocks of 256-512, none a
+    single row (numpy sends those to gemv), so no second trajectory-sized array."""
+    flat = states.reshape(-1, states.shape[-1])
+    if not np.may_share_memory(flat, states):  # a copy would lose the write
+        raise ValueError("states do not flatten to a view")
+    for block in np.array_split(flat, -(-len(flat) // 512)):
+        block[:] = block @ vectors
+
+
 def reconstruct_trajectory(ctraj: CoefficientTrajectory) -> Trajectory:
     """Map coefficients back to vertex phases, theta = V alpha."""
     return Trajectory(

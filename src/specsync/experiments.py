@@ -45,6 +45,7 @@ from .equitable import approximation_bound, equitable_error, equitable_error_mat
 from .dynamics import (
     CoefficientTrajectory,
     OscillatorSystem,
+    _project_in_place,
     integrate_vertex,
     integrate_coefficient,
     reconstruct_trajectory,
@@ -340,12 +341,8 @@ def _scn_fig4(config, seed):
     theta0 = [np.random.default_rng(seed + s).uniform(-scale, scale, g.n)
               for s in range(config["seeds"])]
     batch = integrate_vertex(sys_, np.array(theta0), config["dt"], config["steps"])
-    # Project the batch onto the eigenbasis in place, in blocks of 256-512
-    # rows, so the coefficients need no second trajectory-sized array. No
-    # block is a single row, which numpy would hand to another BLAS routine.
-    flat = batch.states.reshape(-1, g.n)
-    for block in np.array_split(flat, -(-len(flat) // 512)):
-        block[:] = block @ basis.vertex_vectors
+    # The coefficients overwrite the batch: no second trajectory-sized array.
+    _project_in_place(batch.states, basis.vertex_vectors)
     ctrajs = [CoefficientTrajectory(batch.t0, batch.dt, batch.states[:, s], basis)
               for s in range(config["seeds"])]
     for s, ctraj in enumerate(ctrajs):

@@ -24,22 +24,22 @@ __all__ = [
 
 
 # Thresholds; none is settable by callers.
-_SIGN_TOL = 1e-12  # entries below this (times max(1, column max)) count as zero
+_SIGN_TOL = 1e-8  # entries below this times the column's largest |entry| count as zero
 _GENERAL_TOL = 1e-8  # imaginary parts and eigenpair residuals, times the matrix scale
 _STRUCTURAL_TOL = 1e-8  # largest residual of a cell-constant unit direction
 _GAP_TOL = 1e-8  # eigenvalues closer than this times lambda_max form one degenerate block
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its first nonzero component is positive.
+    """Flip each column so its first entry above _SIGN_TOL x its largest |entry| is positive.
 
     Eigenvectors are only defined up to sign; pinning the sign makes
-    decompositions and trajectories reproducible run to run.
+    decompositions and trajectories reproducible, also across BLAS thread counts.
     """
     if vectors.size == 0:  # argmax needs a row; an empty basis stays empty
         return vectors.copy()
     mag = np.abs(vectors)
-    above = mag > _SIGN_TOL * np.maximum(1.0, mag.max(axis=0))
+    above = mag > _SIGN_TOL * mag.max(axis=0)
     first = vectors[above.argmax(axis=0), np.arange(vectors.shape[1])]
     return np.where(above.any(axis=0) & (first < 0), -vectors, vectors)
 
@@ -74,9 +74,9 @@ class SpectralBasis:
 def eigendecompose(lap: np.ndarray) -> SpectralBasis:
     """Eigendecompose a symmetric (Laplacian) matrix into a SpectralBasis.
 
-    Eigenvalues come out ascending and eigenvectors orthonormal with the
-    first-nonzero-positive sign convention. The basis carries no edge
-    vectors; spectral_basis attaches them from the graph's edge list.
+    Eigenvalues come out ascending and eigenvectors orthonormal, signed by
+    _fix_signs. The basis carries no edge vectors; spectral_basis attaches
+    them from the graph's edge list.
 
     Raises ValueError if the input is not symmetric within 1e-10;
     propagates numpy.linalg.LinAlgError if the iteration fails to converge.
@@ -111,9 +111,9 @@ def eigendecompose_general(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Quotient Laplacians of symmetric matrices are similar to symmetric
     matrices, so their spectra are real; imaginary parts beyond 1e-8
     (relative to the matrix scale) signal that the input is not such a
-    quotient and raise ValueError. Returns (eigenvalues ascending,
-    unit eigenvectors as columns) with the first-nonzero-positive sign
-    convention; each pair satisfies ||M v - lambda v|| <= 1e-8 scale ||v||.
+    quotient and raise ValueError. Returns (eigenvalues ascending, unit
+    eigenvectors as columns, signed by _fix_signs); each pair satisfies
+    ||M v - lambda v|| <= 1e-8 scale ||v||.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:

@@ -8,6 +8,7 @@ from specsync import (
     PlantedAepConfig,
     OscillatorSystem,
     CoefficientTrajectory,
+    SpectralBasis,
     spectral_basis,
     integrate_coefficient,
     planted_aep,
@@ -217,6 +218,51 @@ class TestXCoupling:
                 brute += omega_spec[s] / (2.0 * sys_.sigma * basis.eigenvalues[s]) * inner
             assert abs(report[r1 - 1].x - brute) < 1e-12
 
+    def test_lone_weighted_mode_has_exactly_zero_coupling(self):
+        # With V = I, omega = c e_r weights mode r alone, exactly. x_r must
+        # come out 0.0 over many edge row blocks; every other mode couples.
+        rng = np.random.default_rng(43)
+        n, r = 120, 7
+        g = random_connected_graph(rng, n_max=n, n_min=n, p=0.5)
+        basis = SpectralBasis(np.arange(1.0, n + 1.0), np.eye(n),
+                              rng.standard_normal((g.m, n)))
+        omega = np.zeros(n)
+        omega[r] = 0.7
+        x = np.array([e.x for e in discriminant_report(
+            OscillatorSystem(graph=g, omega=omega, sigma=1.3), basis)])
+        assert g.m * n > 4 * 65536
+        assert x[r - 1] == 0.0
+        assert np.all(np.delete(x, r - 1) != 0.0)
+
+    def test_dominant_mode_keeps_relative_accuracy(self):
+        # omega close to v_r weights mode r about 1e6 times any other; x_r
+        # sums only the small weights, so it must keep their relative accuracy
+        # (subtracting w_r e_ar from a full sum loses about 1e-9 here).
+        for seed in range(10):
+            rng = np.random.default_rng(100 + seed)
+            g = random_connected_graph(rng, n_max=40, n_min=20, p=0.5)
+            basis = spectral_basis(g)
+            r = int(rng.integers(1, g.n))
+            omega = basis.vertex_vectors[:, r] + 1e-6 * rng.standard_normal(g.n)
+            sys_ = OscillatorSystem(graph=g, omega=omega, sigma=0.8)
+            want = oracle_x_coupling(sys_, basis, r)
+            assert abs(discriminant_report(sys_, basis)[r - 1].x - want) <= 1e-12 * abs(want)
+
+    def test_peak_memory_holds_no_edge_array(self):
+        # n = 150, m = 11175: one (m, n) array, as E^3, is 13.4 MB.
+        g = WeightedGraph(150, [(i, j, 1.0 + 0.001 * (i + j))
+                                for i in range(150) for j in range(i + 1, 150)])
+        basis = spectral_basis(g)
+        sys_ = OscillatorSystem(graph=g, omega=np.linspace(-1.0, 1.0, 150), sigma=1.0)
+        tracemalloc.start()
+        try:
+            report = discriminant_report(sys_, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report) == 149
+        assert peak < basis.edge_vectors.nbytes / 4
+
     def test_rejects_foreign_basis_and_nonpositive_coupling(self):
         rng = np.random.default_rng(44)
         g = random_connected_graph(rng, n_max=8, n_min=5)
@@ -239,9 +285,11 @@ def sparse_connected_graph(rng, n, extra):
     return WeightedGraph(n, [(i, j, rng.uniform(0.5, 1.5)) for i, j in sorted(pairs)])
 
 
-# 24 graphs: dense to sparse (density < 0.1), with and without lag.
+# 24 graphs: dense to sparse (density < 0.1), with and without lag; then two
+# large ones whose edge rows span several of the report's row blocks.
 ORACLE_KINDS = [(kind, lag) for kind in ("dense", "medium", "sparse") for lag in (False, True)]
 ORACLE_CASES = [(seed, *ORACLE_KINDS[seed % len(ORACLE_KINDS)]) for seed in range(24)]
+ORACLE_CASES += [(24, "large", False), (25, "large", True)]
 
 
 class TestReportMatchesOracle:
@@ -251,6 +299,9 @@ class TestReportMatchesOracle:
             n = int(rng.integers(40, 61))
             g = sparse_connected_graph(rng, n, extra=n // 2)
             assert g.m / (n * (n - 1) / 2) < 0.1
+        elif kind == "large":
+            g = random_connected_graph(rng, n_max=160, n_min=120, p=0.5)
+            assert g.m * g.n > 4 * 65536
         else:
             p = 0.9 if kind == "dense" else 0.4
             g = random_connected_graph(rng, n_max=25, n_min=6, p=p)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -157,11 +158,13 @@ class TestSimulate:
     def test_rezero_decomposes_once(self, tmp_path, monkeypatch, basis):
         calls = []
 
+        project = cli._project_in_place
+
         def counted(*args):
             calls.append(args)
-            return specsync.decompose_trajectory(*args)
+            return project(*args)
 
-        monkeypatch.setattr(cli, "decompose_trajectory", counted)
+        monkeypatch.setattr(cli, "_project_in_place", counted)
         graph = make_path_graph(tmp_path)
         out = tmp_path / "cli"
         code = main(["simulate", "--graph", graph, "--omega", "[0.5, 0.1, -0.3]",
@@ -188,6 +191,26 @@ class TestSimulate:
                                      direct / "coefficients.csv")
         for name in ("trajectory.csv", "coefficients.csv"):
             assert (out / name).read_bytes() == (direct / name).read_bytes()
+
+    def test_vertex_basis_peak_memory_is_one_trajectory(self, tmp_path):
+        # n = 100, 6001 samples: the trajectory is 4.8 MB, and the CSV
+        # writer's blocks take under 3 MB. The coefficients as a second
+        # array would add 4.8 MB more.
+        rng = np.random.default_rng(8)
+        edges = [[i, j, float(rng.uniform(0.5, 1.5))]  # a path plus random chords
+                 for i in range(100) for j in range(i + 1, 100)
+                 if j == i + 1 or rng.random() < 0.08]
+        graph = write_json(tmp_path / "graph.json", {"n": 100, "edges": edges})
+        omega = json.dumps(rng.normal(0.0, 0.3, 100).tolist())
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--graph", graph, "--omega", omega, "--steps", "6000",
+                         "--out-dir", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 6001 * 100 * 8 + 4e6
 
     @pytest.mark.parametrize("when", ["nan", "inf", "-inf"])
     def test_rezero_must_be_finite(self, tmp_path, capsys, when):

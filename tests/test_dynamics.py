@@ -651,6 +651,55 @@ class TestCoefficientIntegration:
         assert np.abs(back.states - traj.states).max() < 1e-10
 
 
+class TestProjectInPlace:
+    """dynamics._project_in_place: states @ V written back into states."""
+
+    @pytest.mark.parametrize("shape", [(1, 7), (2, 7), (255, 7), (513, 7), (1025, 7),
+                                       (601, 3, 7), (6001, 7)])
+    def test_overwrites_states_with_their_coefficients(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        vectors = np.linalg.qr(rng.standard_normal((7, 7)))[0]
+        states = rng.uniform(-3.0, 3.0, shape)
+        want = states @ vectors
+        dynamics._project_in_place(states, vectors)
+        assert np.abs(states - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("rows", [2, 255, 256, 511, 512, 513, 1023, 1024, 1025, 6001, 18003])
+    def test_blocks_hold_256_to_512_rows_and_never_one(self, monkeypatch, rows):
+        # numpy hands a one-row product to gemv rather than gemm.
+        blocks = []
+        split = np.array_split
+        states = np.ones((rows, 4))
+
+        def recorded(flat, sections):
+            parts = split(flat, sections)
+            assert all(np.shares_memory(part, states) for part in parts)
+            blocks.extend(len(part) for part in parts)
+            return parts
+
+        monkeypatch.setattr(np, "array_split", recorded)
+        dynamics._project_in_place(states, 2.0 * np.eye(4))
+        assert np.all(states == 2.0)
+        assert sum(blocks) == rows
+        assert min(blocks) >= 2
+        if rows <= 512:
+            assert blocks == [rows]
+        else:
+            assert 256 <= min(blocks) <= max(blocks) <= 512
+
+    def test_writes_through_views_or_refuses(self):
+        rng = np.random.default_rng(5)
+        vectors = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        batch = rng.standard_normal((10, 3, 4))
+        want = batch[:, 1] @ vectors
+        dynamics._project_in_place(batch[:, 1], vectors)  # strided, but 2-D
+        assert np.abs(batch[:, 1] - want).max() <= 1e-14 * np.abs(want).max()
+        # Flattening a transposed batch would copy it, and the coefficients
+        # would never reach the caller's array.
+        with pytest.raises(ValueError):
+            dynamics._project_in_place(batch.transpose(1, 0, 2), vectors)
+
+
 class TestRezero:
     def test_full_turn_collapses(self):
         traj = Trajectory_like(np.array([[0.0, 2.0 * np.pi]]))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +28,20 @@ from conftest import (
     random_connected_graph,
     random_partition,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Saves the sign-fixed eigenvectors of fig4's nested graph at seed 0.
+NESTED_EIGENVECTORS = """
+import sys
+import numpy as np
+from specsync import eigendecompose, experiments, laplacian, nested_aep
+c = experiments.scenario_config("fig4_hierarchical", None)
+g, _ = nested_aep(levels=tuple(c["levels"]), leaf_size=c["leaf_size"],
+                  level_weights=tuple(c["level_weights"]),
+                  leaf_weight_range=tuple(c["leaf_weight_range"]), jitter=c["jitter"], seed=0)
+np.save(sys.argv[1], eigendecompose(laplacian(g)).vertex_vectors)
+"""
 
 
 class TestEigendecompose:
@@ -81,11 +100,11 @@ class TestEigendecompose:
         # negative, one column at a time; zero and tiny entries included.
         from specsync.spectral import _fix_signs
 
-        def column_loop(vectors, tol=1e-12):
+        def column_loop(vectors, tol=1e-8):
             out = vectors.copy()
             for c in range(out.shape[1]):
                 col = out[:, c]
-                nz = np.flatnonzero(np.abs(col) > tol * max(1.0, np.abs(col).max()))
+                nz = np.flatnonzero(np.abs(col) > tol * np.abs(col).max())
                 if nz.size and col[nz[0]] < 0:
                     out[:, c] = -col
             return out
@@ -96,9 +115,25 @@ class TestEigendecompose:
             vectors[: n // 2, ::2] = 0.0
             vectors[0, 1::3] = 1e-14
             vectors[:, 0] = 0.0
-            vectors[:, -1] = -1e-14  # all below tolerance: left as is
+            vectors[:, -1] = -1e-14  # tiny, but the tolerance is relative: flipped
             assert np.array_equal(_fix_signs(vectors), column_loop(vectors))
         assert _fix_signs(np.zeros((0, 0))).shape == (0, 0)
+
+    def test_signs_do_not_depend_on_blas_threads(self, tmp_path):
+        # On fig4's nested graph, entries near 1e-12 are roundoff whose sign
+        # follows the BLAS thread count; they must not decide a column's sign.
+        vectors = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+            env.update(dict.fromkeys(
+                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+            path = tmp_path / f"v{threads}.npy"
+            proc = subprocess.run([sys.executable, "-c", NESTED_EIGENVECTORS, str(path)],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            vectors[threads] = np.load(path)
+        cosines = np.sum(vectors["1"] * vectors["2"], axis=0)
+        assert np.flatnonzero(cosines < 0.5).tolist() == []
 
     def test_edge_vectors_equal_incidence_product(self):
         # The gathered rows V[i] - V[j] are the entries of B^T V, bit for bit.
