@@ -28,10 +28,10 @@ from .analysis import asymptotic_coefficients, discriminant_report
 from .dynamics import (
     CoefficientTrajectory,
     OscillatorSystem,
+    Trajectory,
     _project_in_place,
     integrate_coefficient,
     integrate_vertex,
-    reconstruct_trajectory,
     rezero,
 )
 from .equitable import approximation_bound, check_aep, equitable_error, qep_score
@@ -165,16 +165,16 @@ def _cmd_simulate(args) -> None:
     else:
         basis = spectral_basis(graph)
         alpha0 = basis.vertex_vectors.T @ theta0
-        ctraj = integrate_coefficient(system, basis, alpha0, args.dt, args.steps)
-        traj = reconstruct_trajectory(ctraj)
+        traj = Trajectory(0.0, args.dt, integrate_coefficient(
+            system, basis, alpha0, args.dt, args.steps).coeffs)
+        _project_in_place(traj.states, basis.vertex_vectors.T)  # theta = V alpha
     if at is not None:
         traj = rezero(traj, at)
     out = _out_dir(args)
     fileio.write_phase_csv(traj, out / "trajectory.csv")
-    if args.basis == "vertex" or args.rezero is not None:  # once, after any rezero
-        _project_in_place(traj.states, basis.vertex_vectors)
-        ctraj = CoefficientTrajectory(traj.t0, traj.dt, traj.states, basis)
-    fileio.write_coefficient_csv(ctraj, out / "coefficients.csv")
+    _project_in_place(traj.states, basis.vertex_vectors)  # after any rezero
+    fileio.write_coefficient_csv(CoefficientTrajectory(traj.t0, traj.dt, traj.states),
+                                 out / "coefficients.csv")
     print(f"wrote trajectory.csv, coefficients.csv to {out}")
 
 

@@ -41,7 +41,8 @@ into per-run copies of the drift and the coupling (the vertex kernels take
 the scale h sigma / 2 and write into one row of a stage buffer), and one
 product joins the four stages. Phases live in R (unwrapped); rezero()
 reduces a trajectory mod 2 pi when winding offsets need to be removed
-before decomposition.
+before decomposition. A trajectory changes basis in place, alpha = V^T theta
+as states @ V and theta = V alpha as coeffs @ V^T, by _project_in_place alone.
 """
 from __future__ import annotations
 
@@ -60,8 +61,6 @@ __all__ = [
     "CoefficientTrajectory",
     "integrate_vertex",
     "integrate_coefficient",
-    "decompose_trajectory",
-    "reconstruct_trajectory",
     "rezero",
     "cluster_spread",
 ]
@@ -148,7 +147,6 @@ class CoefficientTrajectory:
     t0: float
     dt: float
     coeffs: np.ndarray  # (steps + 1, n), or (steps + 1, B, n) for a batch
-    basis: SpectralBasis
 
     @property
     def times(self) -> np.ndarray:
@@ -372,33 +370,17 @@ def integrate_coefficient(
             s = sines(mid - gain_half(s), rows[2])
             sines(end - gain_full(s), rows[3])
             out[k] = y = end - gain_rk4(stacked)
-    return CoefficientTrajectory(t0=0.0, dt=float(dt), coeffs=_check_finite(out, dt), basis=basis)
-
-
-def decompose_trajectory(traj: Trajectory, basis: SpectralBasis) -> CoefficientTrajectory:
-    """Project every sampled state onto the eigenbasis."""
-    if basis.n != traj.n:
-        raise ValueError("basis does not match trajectory width")
-    return CoefficientTrajectory(
-        t0=traj.t0, dt=traj.dt, coeffs=traj.states @ basis.vertex_vectors, basis=basis
-    )
+    return CoefficientTrajectory(t0=0.0, dt=float(dt), coeffs=_check_finite(out, dt))
 
 
 def _project_in_place(states: np.ndarray, vectors: np.ndarray) -> None:
-    """Overwrite states (..., n) with states @ vectors in row blocks of 256-512, none a
-    single row (numpy sends those to gemv), so no second trajectory-sized array."""
+    """Overwrite states (..., n) with states @ vectors (V: phases to coefficients, V.T
+    back) in row blocks of 256-512, none a single row (numpy sends those to gemv)."""
     flat = states.reshape(-1, states.shape[-1])
     if not np.may_share_memory(flat, states):  # a copy would lose the write
         raise ValueError("states do not flatten to a view")
     for block in np.array_split(flat, -(-len(flat) // 512)):
         block[:] = block @ vectors
-
-
-def reconstruct_trajectory(ctraj: CoefficientTrajectory) -> Trajectory:
-    """Map coefficients back to vertex phases, theta = V alpha."""
-    return Trajectory(
-        t0=ctraj.t0, dt=ctraj.dt, states=ctraj.coeffs @ ctraj.basis.vertex_vectors.T
-    )
 
 
 def _wrap_pi(x: np.ndarray) -> np.ndarray:

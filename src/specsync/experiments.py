@@ -45,10 +45,10 @@ from .equitable import approximation_bound, equitable_error, equitable_error_mat
 from .dynamics import (
     CoefficientTrajectory,
     OscillatorSystem,
+    Trajectory,
     _project_in_place,
     integrate_vertex,
     integrate_coefficient,
-    reconstruct_trajectory,
     cluster_spread,
 )
 from .analysis import (
@@ -201,8 +201,9 @@ def _scn_basis_equivalence(config, seed):
         steps = int(round(config["t_final"] / config["dt"]))
         traj = integrate_vertex(sys_, theta0, config["dt"], steps)
         alpha0 = basis.vertex_vectors.T @ theta0
-        ctraj = integrate_coefficient(sys_, basis, alpha0, config["dt"], steps)
-        diff = float(np.abs(reconstruct_trajectory(ctraj).states - traj.states).max())
+        phases = integrate_coefficient(sys_, basis, alpha0, config["dt"], steps).coeffs
+        _project_in_place(phases, basis.vertex_vectors.T)  # theta = V alpha
+        diff = float(np.abs(phases - traj.states).max())
         worst = max(worst, diff)
         rows.append((idx, n, g.m, diff))
     assertions = [
@@ -229,7 +230,7 @@ def _scn_fig2(config, seed):
     ctraj = integrate_coefficient(sys_, basis, alpha0, config["dt"], config["steps"])
     terminal = ctraj.coeffs[-1]
     energy = float((terminal[nonstruct] ** 2).sum() / (terminal[1:] ** 2).sum())
-    traj = reconstruct_trajectory(ctraj)
+    traj = Trajectory(ctraj.t0, ctraj.dt, ctraj.coeffs @ basis.vertex_vectors.T)
     spread = float(cluster_spread(traj, p, -1).max())
     rtol = config["match_rtol"]
     small_ok, small, _ = _relative_match(
@@ -343,8 +344,7 @@ def _scn_fig4(config, seed):
     batch = integrate_vertex(sys_, np.array(theta0), config["dt"], config["steps"])
     # The coefficients overwrite the batch: no second trajectory-sized array.
     _project_in_place(batch.states, basis.vertex_vectors)
-    ctrajs = [CoefficientTrajectory(batch.t0, batch.dt, batch.states[:, s], basis)
-              for s in range(config["seeds"])]
+    ctrajs = [CoefficientTrajectory(batch.t0, batch.dt, c) for c in batch.states.swapaxes(0, 1)]
     for s, ctraj in enumerate(ctrajs):
         # The integrator rejects non-finite states, so this is max |alpha_r|.
         c = ctraj.coeffs[:, 1:]
@@ -435,8 +435,10 @@ def _scn_fig5(config, seed):
             rng = np.random.default_rng(seed + 500 + s)
             theta0 = rng.uniform(-config["theta0_scale"], config["theta0_scale"], g.n)
             alpha0 = basis.vertex_vectors.T @ theta0
-            ctraj = integrate_coefficient(sys_, basis, alpha0, config["dt"], config["steps"])
-            spread = float(cluster_spread(reconstruct_trajectory(ctraj), p, -1).max())
+            traj = Trajectory(0.0, config["dt"], integrate_coefficient(
+                sys_, basis, alpha0, config["dt"], config["steps"]).coeffs)
+            _project_in_place(traj.states, basis.vertex_vectors.T)  # theta = V alpha
+            spread = float(cluster_spread(traj, p, -1).max())
             score = qep_score(g, p)
             scores.append(score)
             spreads.append(spread)

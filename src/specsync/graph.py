@@ -128,7 +128,7 @@ class WeightedGraph:
         )
 
     def __hash__(self):
-        return hash((self.n, self.edge_i.tobytes(), self.edge_w.tobytes()))
+        return hash((self.n, self.edge_i.tobytes(), self.edge_j.tobytes(), self.edge_w.tobytes()))
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.m})"

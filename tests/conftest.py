@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from specsync import (
-    OscillatorSystem, WeightedGraph, VertexPartition, indicator_matrix, quotient_matrix,
+    CoefficientTrajectory, OscillatorSystem, Trajectory, WeightedGraph, VertexPartition,
+    indicator_matrix, quotient_matrix,
 )
 
 try:
@@ -63,6 +64,18 @@ def oracle_equitable_error_matrix(mat, partition):
     reference for the edge-list form of equitable_error_matrix."""
     pmat = indicator_matrix(partition)
     return pmat @ quotient_matrix(mat, partition) - mat @ pmat
+
+
+def decompose_trajectory(traj, basis):
+    """Every sampled state projected onto the eigenbasis, alpha = V^T theta as
+    states @ V; test-only reference for dynamics._project_in_place."""
+    return CoefficientTrajectory(traj.t0, traj.dt, traj.states @ basis.vertex_vectors)
+
+
+def reconstruct_trajectory(ctraj, basis):
+    """Vertex phases theta = V alpha as coeffs @ V^T; test-only reference for
+    dynamics._project_in_place with V^T."""
+    return Trajectory(ctraj.t0, ctraj.dt, ctraj.coeffs @ basis.vertex_vectors.T)
 
 
 def oracle_incidence(g):

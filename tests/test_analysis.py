@@ -38,9 +38,9 @@ def report_entry(system, basis, r):
     return entry
 
 
-def synthetic_traj(basis, times, coeffs):
+def synthetic_traj(times, coeffs):
     dt = times[1] - times[0]
-    return CoefficientTrajectory(t0=float(times[0]), dt=float(dt), coeffs=coeffs, basis=basis)
+    return CoefficientTrajectory(t0=float(times[0]), dt=float(dt), coeffs=coeffs)
 
 
 def reference_segment_regimes(sim, threshold, min_dwell):
@@ -102,7 +102,7 @@ def noisy_decays(rng, samples, n, dt=0.01):
     logs = (rng.normal(0.0, 1.0, n) - rng.uniform(0.0, 3.0, n) * times[:, None]
             + 0.05 * rng.normal(size=(samples, n)))
     coeffs = rng.choice([-1.0, 1.0], size=(samples, n)) * np.exp(logs)
-    return CoefficientTrajectory(t0=float(times[0]), dt=dt, coeffs=coeffs, basis=None)
+    return CoefficientTrajectory(t0=float(times[0]), dt=dt, coeffs=coeffs)
 
 
 class TestLinearSolution:
@@ -473,22 +473,20 @@ class TestSegmentRegimes:
         return spectral_basis(WeightedGraph(n, edges))
 
     def test_all_zero_single_empty_regime(self):
-        basis = self._basis(4)
         times = np.arange(0.0, 10.0, 0.1)
-        traj = synthetic_traj(basis, times, np.zeros((times.size, 4)))
+        traj = synthetic_traj(times, np.zeros((times.size, 4)))
         regimes = segment_regimes(traj, threshold=0.01, min_dwell=1.0)
         assert len(regimes) == 1
         assert regimes[0].active == ()
 
     def test_staircase_deactivation(self):
-        basis = self._basis(4)
         times = np.arange(0.0, 30.0, 0.1)
         coeffs = np.zeros((times.size, 4))
         coeffs[:, 1] = np.where(times < 20.0, 1.0, 0.0)
         coeffs[:, 2] = np.where(times < 10.0, 1.0, 0.0)
         # A sub-dwell flicker that must be absorbed.
         coeffs[150:152, 3] = 1.0
-        traj = synthetic_traj(basis, times, coeffs)
+        traj = synthetic_traj(times, coeffs)
         regimes = segment_regimes(traj, threshold=0.5, min_dwell=2.0)
         actives = [r.active for r in regimes]
         assert actives == [(1, 2), (1,), ()]
@@ -510,7 +508,7 @@ class TestSegmentRegimes:
         coeffs = np.zeros((times.size, 5))
         for r in range(1, 5):
             coeffs[:, r] = np.exp(-sigma * basis.eigenvalues[r] * times)
-        traj = synthetic_traj(basis, times, coeffs)
+        traj = synthetic_traj(times, coeffs)
         regimes = segment_regimes(traj, threshold=1e-3, min_dwell=0.5)
         last_active = {}
         for regime in regimes:
@@ -539,7 +537,7 @@ class TestSegmentRegimes:
             coeffs *= rng.choice([-1.0, 1.0], size=coeffs.shape)
             dt = float(rng.choice([0.05, 0.1, 0.25]))
             traj = CoefficientTrajectory(t0=float(rng.uniform(-1.0, 1.0)), dt=dt,
-                                         coeffs=coeffs, basis=None)
+                                         coeffs=coeffs)
             min_dwell = float(rng.uniform(0.0, 30.0)) * dt
             assert (segment_regimes(traj, 0.5, min_dwell)
                     == reference_segment_regimes(traj, 0.5, min_dwell)), trial
@@ -549,7 +547,7 @@ class TestSegmentRegimes:
         # float array alone would take 8.6 MB more.
         times = np.arange(6001) * 0.01
         coeffs = np.exp(-np.outer(times, np.linspace(0.0, 3.0, 180)))
-        traj = CoefficientTrajectory(t0=0.0, dt=0.01, coeffs=coeffs, basis=None)
+        traj = CoefficientTrajectory(t0=0.0, dt=0.01, coeffs=coeffs)
         tracemalloc.start()
         try:
             regimes = segment_regimes(traj, 0.02, min_dwell=1.0)
@@ -560,9 +558,8 @@ class TestSegmentRegimes:
         assert peak < 2 * coeffs[:, 1:].size + 1e6
 
     def test_threshold_is_required_and_positive(self):
-        basis = self._basis(3)
         times = np.arange(0.0, 10.0, 0.1)
-        traj = synthetic_traj(basis, times, np.ones((times.size, 3)))
+        traj = synthetic_traj(times, np.ones((times.size, 3)))
         with pytest.raises(TypeError, match="threshold"):
             segment_regimes(traj, min_dwell=1.0)
         with pytest.raises(ValueError, match="threshold must be positive"):
@@ -571,7 +568,7 @@ class TestSegmentRegimes:
 
 def test_analysis_of_a_batch_is_rejected():
     times = np.arange(0.0, 10.0, 0.1)
-    batch = CoefficientTrajectory(t0=0.0, dt=0.1, coeffs=np.ones((times.size, 2, 3)), basis=None)
+    batch = CoefficientTrajectory(t0=0.0, dt=0.1, coeffs=np.ones((times.size, 2, 3)))
     with pytest.raises(ValueError, match="segment_regimes takes one trajectory"):
         segment_regimes(batch, 0.5, min_dwell=1.0)
     with pytest.raises(ValueError, match="fit_decay_rates takes one trajectory"):
@@ -587,7 +584,7 @@ class TestFitDecayRates:
         coeffs = np.zeros((times.size, 5))
         for r in range(1, 5):
             coeffs[:, r] = 0.3 * np.exp(-sigma * basis.eigenvalues[r] * times)
-        traj = synthetic_traj(basis, times, coeffs)
+        traj = synthetic_traj(times, coeffs)
         rates = fit_decay_rates(traj, 0.0, 5.0)
         assert np.isnan(rates[0])
         assert np.allclose(rates[1:], sigma * basis.eigenvalues[1:], rtol=1e-10)
@@ -611,7 +608,7 @@ class TestFitDecayRates:
         coeffs[50, 3] = np.inf
         coeffs[120, 4] = -np.inf
         coeffs[199, 5] = 0.0
-        traj = CoefficientTrajectory(t0=clean.t0, dt=clean.dt, coeffs=coeffs, basis=None)
+        traj = CoefficientTrajectory(t0=clean.t0, dt=clean.dt, coeffs=coeffs)
         lo, hi = clean.times[0], clean.times[-1]
         rates = fit_decay_rates(traj, lo, hi, amp_floor=amp_floor)
         assert np.isnan(rates[[0, 2, 3, 4, 5]]).all()

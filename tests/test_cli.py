@@ -12,6 +12,8 @@ import specsync
 from specsync.cli import main
 from specsync import cli, experiments, fileio
 
+from conftest import decompose_trajectory, reconstruct_trajectory
+
 
 PLANTED_CONFIG = {
     "cell_sizes": [3, 4],
@@ -171,7 +173,8 @@ class TestSimulate:
                      "--theta0", "[0.2, 0.1, 0.0]", "--steps", "200", "--basis", basis,
                      "--rezero", "1.0", "--out-dir", str(out)])
         assert code == 0
-        assert len(calls) == 1
+        # The coefficient form's run becomes phases, then coefficients after rezero.
+        assert len(calls) == (1 if basis == "vertex" else 2)
 
         g = fileio.load_graph(graph)
         system = specsync.OscillatorSystem(graph=g, omega=np.array([0.5, 0.1, -0.3]), sigma=1.0)
@@ -181,21 +184,23 @@ class TestSimulate:
             traj = specsync.integrate_vertex(system, theta0, 0.01, 200)
         else:
             alpha0 = spec.vertex_vectors.T @ theta0
-            traj = specsync.reconstruct_trajectory(
-                specsync.integrate_coefficient(system, spec, alpha0, 0.01, 200))
+            traj = reconstruct_trajectory(
+                specsync.integrate_coefficient(system, spec, alpha0, 0.01, 200), spec)
         traj = specsync.rezero(traj, 100)
         direct = tmp_path / "direct"
         direct.mkdir()
         fileio.write_phase_csv(traj, direct / "trajectory.csv")
-        fileio.write_coefficient_csv(specsync.decompose_trajectory(traj, spec),
+        fileio.write_coefficient_csv(decompose_trajectory(traj, spec),
                                      direct / "coefficients.csv")
         for name in ("trajectory.csv", "coefficients.csv"):
             assert (out / name).read_bytes() == (direct / name).read_bytes()
 
-    def test_vertex_basis_peak_memory_is_one_trajectory(self, tmp_path):
+    @pytest.mark.parametrize("basis", ["vertex", "coefficient"])
+    def test_peak_memory_is_one_trajectory(self, tmp_path, basis):
         # n = 100, 6001 samples: the trajectory is 4.8 MB, and the CSV
         # writer's blocks take under 3 MB. The coefficients as a second
-        # array would add 4.8 MB more.
+        # array would add 4.8 MB more, as would the coefficient form's
+        # phases rebuilt beside its coefficients.
         rng = np.random.default_rng(8)
         edges = [[i, j, float(rng.uniform(0.5, 1.5))]  # a path plus random chords
                  for i in range(100) for j in range(i + 1, 100)
@@ -205,7 +210,7 @@ class TestSimulate:
         tracemalloc.start()
         try:
             code = main(["simulate", "--graph", graph, "--omega", omega, "--steps", "6000",
-                         "--out-dir", str(tmp_path / "out")])
+                         "--basis", basis, "--out-dir", str(tmp_path / "out")])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

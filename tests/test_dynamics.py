@@ -11,8 +11,6 @@ from specsync import (
     spectral_basis,
     integrate_vertex,
     integrate_coefficient,
-    decompose_trajectory,
-    reconstruct_trajectory,
     rezero,
     cluster_spread,
     structural_indices,
@@ -23,7 +21,7 @@ from specsync import (
 )
 from specsync import dynamics, experiments
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, reconstruct_trajectory
 
 
 def two_oscillator_system(omega=(0.0, 0.0), sigma=1.0, w=1.0):
@@ -569,7 +567,7 @@ class TestCoefficientIntegration:
             ctraj = integrate_coefficient(
                 sys_, basis, basis.vertex_vectors.T @ theta0, dt=0.01, steps=2000
             )
-            rebuilt = reconstruct_trajectory(ctraj)
+            rebuilt = reconstruct_trajectory(ctraj, basis)
             assert np.abs(rebuilt.states - traj.states).max() < 1e-6
 
     def test_matches_vertex_on_planted_aep_long_horizon(self):
@@ -590,7 +588,7 @@ class TestCoefficientIntegration:
         ctraj = integrate_coefficient(
             sys_, basis, basis.vertex_vectors.T @ theta0, 0.01, 5000
         )
-        assert np.abs(reconstruct_trajectory(ctraj).states - traj.states).max() < 1e-6
+        assert np.abs(reconstruct_trajectory(ctraj, basis).states - traj.states).max() < 1e-6
 
     def test_nonstructural_subspace_invariant(self):
         # Cell-constant frequencies on an exact AEP never excite
@@ -641,14 +639,19 @@ class TestCoefficientIntegration:
         assert np.abs(out.coeffs - ref.coeffs).max() < 1e-10
 
     def test_round_trip_decomposition(self):
+        # Projecting in place with V, then with V^T, returns the phases of a
+        # single run and of every row of a (steps + 1, B, n) batch.
         rng = np.random.default_rng(36)
         g = random_connected_graph(rng, n_max=8)
         sys_ = OscillatorSystem(graph=g, omega=rng.normal(size=g.n), sigma=1.0)
-        basis = spectral_basis(g)
-        theta0 = rng.uniform(-0.5, 0.5, size=g.n)
-        traj = integrate_vertex(sys_, theta0, dt=0.02, steps=100)
-        back = reconstruct_trajectory(decompose_trajectory(traj, basis))
-        assert np.abs(back.states - traj.states).max() < 1e-10
+        v = spectral_basis(g).vertex_vectors
+        for theta0 in (rng.uniform(-0.5, 0.5, size=g.n), rng.uniform(-0.5, 0.5, size=(3, g.n))):
+            states = integrate_vertex(sys_, theta0, dt=0.02, steps=600).states
+            back = states.copy()
+            dynamics._project_in_place(back, v)
+            assert np.abs(back - states @ v).max() < 1e-12
+            dynamics._project_in_place(back, v.T)
+            assert np.abs(back - states).max() < 1e-10
 
 
 class TestProjectInPlace:

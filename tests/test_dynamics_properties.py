@@ -15,13 +15,12 @@ from specsync import (
     integrate_coefficient,
     integrate_vertex,
     planted_aep,
-    reconstruct_trajectory,
     spectral_basis,
 )
 
 from specsync.dynamics import _edge_coupling
 
-from conftest import relabelled_systems
+from conftest import reconstruct_trajectory, relabelled_systems
 
 DT, STEPS = 0.01, 300
 
@@ -32,7 +31,7 @@ def both_forms(system, theta0):
     basis = spectral_basis(system.graph)
     coeffs = integrate_coefficient(system, basis, basis.vertex_vectors.T @ theta0, DT, STEPS)
     return (integrate_vertex(system, theta0, DT, STEPS).states,
-            reconstruct_trajectory(coeffs).states)
+            reconstruct_trajectory(coeffs, basis).states)
 
 
 def initial_phases(seed, n):

@@ -24,7 +24,6 @@ from specsync import (
     integrate_coefficient,
     integrate_vertex,
     planted_aep,
-    reconstruct_trajectory,
     run_scenario,
     sample_sbm,
     scenario_config,
@@ -34,7 +33,7 @@ from specsync import (
 from specsync.cli import main
 from specsync.experiments import Assertion
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, reconstruct_trajectory
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -243,33 +242,36 @@ class TestSmallRuns:
         assert any(not a.passed for a in res.assertions)
 
 
-# Runs fig4 with few steps, recording its batch before the projection and
-# each seed's coefficients as segment_regimes receives them, and requires them
-# equal to decompose_trajectory of that seed's states.
+# Runs fig4 with few steps, recording its graph and its batch before the
+# projection and each seed's coefficients as segment_regimes receives them,
+# and requires them equal to decompose_trajectory of that seed's states in the
+# eigenbasis of the graph's Laplacian.
 FIG4_PROJECTION_CHECK = """
 import sys
 import numpy as np
-from specsync import Trajectory, decompose_trajectory, experiments, run_scenario
+from conftest import decompose_trajectory
+from specsync import Trajectory, eigendecompose, experiments, laplacian, run_scenario
 
 batches, seen = [], []
 integrate, segment = experiments.integrate_vertex, experiments.segment_regimes
 
-def recording_integrate(*args):
-    batch = integrate(*args)
-    batches.append(batch.states.copy())
+def recording_integrate(system, *args):
+    batch = integrate(system, *args)
+    batches.append((system.graph, batch.states.copy()))
     return batch
 
 def recording_segment(ctraj, *args, **kwargs):
-    seen.append((ctraj.coeffs.copy(), ctraj.basis))
+    seen.append(ctraj.coeffs.copy())
     return segment(ctraj, *args, **kwargs)
 
 experiments.integrate_vertex = recording_integrate
 experiments.segment_regimes = recording_segment
 seeds = int(sys.argv[1])
 run_scenario("fig4_hierarchical", {"seeds": seeds, "required_pass": 1, "steps": 600})
-(states,) = batches
+((graph, states),) = batches
 assert states.shape == (601, seeds, 180) and len(seen) == seeds
-for s, (coeffs, basis) in enumerate(seen):
+basis = eigendecompose(laplacian(graph))
+for s, coeffs in enumerate(seen):
     traj = Trajectory(t0=0.0, dt=0.01, states=states[:, s])
     assert np.array_equal(coeffs, decompose_trajectory(traj, basis).coeffs), s
 """
@@ -283,7 +285,7 @@ class TestFig4InPlace:
         # Bit equality is checked under one BLAS thread, the benchmark's
         # setting: threaded OpenBLAS splits a product's rows by its shape.
         # 601 * seeds rows take two blocks at one seed and four at three.
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
         env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
                                  "1"))
         proc = subprocess.run([sys.executable, "-c", FIG4_PROJECTION_CHECK, str(seeds)],
@@ -508,7 +510,7 @@ class TestNegativeControls:
 
         def gap(basis):
             ctraj = integrate_coefficient(sys_, basis, basis.vertex_vectors.T @ theta0, dt, steps)
-            return float(np.abs(reconstruct_trajectory(ctraj).states - vertex).max())
+            return float(np.abs(reconstruct_trajectory(ctraj, basis).states - vertex).max())
 
         assert gap(spectral_basis(g)) <= config["tol"]
         assert gap(spectral_basis(other)) > config["tol"]

@@ -18,12 +18,11 @@ from specsync import (
     WeightedGraph,
     VertexPartition,
     spectral_basis,
-    decompose_trajectory,
     integrate_vertex,
 )
 from specsync import fileio
 
-from conftest import random_connected_graph
+from conftest import decompose_trajectory, random_connected_graph
 
 
 class TestGraphJson:
@@ -80,7 +79,7 @@ class TestTrajectoryCsv:
     def test_batched_trajectory_rejected_before_writing(self, tmp_path, path3):
         system = OscillatorSystem(graph=path3, omega=np.zeros(3), sigma=1.0)
         batch = integrate_vertex(system, np.zeros((2, 3)), 0.1, 4)
-        coeffs = CoefficientTrajectory(batch.t0, batch.dt, batch.states, spectral_basis(path3))
+        coeffs = CoefficientTrajectory(batch.t0, batch.dt, batch.states)
         for write, traj in ((fileio.write_phase_csv, batch),
                             (fileio.write_coefficient_csv, coeffs)):
             path = tmp_path / "batch.csv"

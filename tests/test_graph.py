@@ -104,6 +104,16 @@ class TestCanonicalBuild:
             self._assert_matches_oracle(60, edges)
 
 
+class TestHash:
+    def test_hash_reads_every_edge_array(self):
+        path = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        assert hash(path) == hash(WeightedGraph(4, [(3, 2, 1.0), (1, 0, 1.0), (2, 1, 1.0)]))
+        # Same n, edge_i = (0, 1, 2) and weights; only the second endpoints differ.
+        other = WeightedGraph(4, [(0, 1, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
+        assert np.array_equal(path.edge_i, other.edge_i) and path != other
+        assert hash(path) != hash(other)
+
+
 class TestPartitionValidation:
     def test_empty_cell_rejected(self):
         with pytest.raises(ValueError, match="empty"):

